@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, goal_net, neat, policy, predictor, stats
-from .configio import ConfigError, apply_overrides, parse_kv_file
+from .configio import ConfigError, apply_overrides, parse_bool, parse_kv_file
 from .env import (GridBattleEnv, Measurements, episode_fitness,
                   normalize_measurements, scenario_from_overrides,
                   write_trace_csv)
@@ -214,7 +214,7 @@ def cmd_evaluate(config: dict[str, str], seed: int, out: str) -> int:
                               DEFAULT_EVALUATION_EPISODES))
     if episodes < 1:
         raise ConfigError("evaluation_episodes must be >= 1")
-    write_traces = config.get("write_traces", "false").lower() in ("1", "true")
+    write_traces = parse_bool(config.get("write_traces", "false"))
     model_path = _require_model(config)
     net, _ = predictor.load_predictor(model_path)
     providers = _parse_providers(config)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,7 +86,7 @@ def _normalize_raw(ammo: float, health: float, kills: float) -> np.ndarray:
 
 
 def normalize_measurements(m: Measurements) -> np.ndarray:
-    """Scale measurements into [0, 1] (ammo/40, health/100, kills/25, clipped)."""
+    """Scale measurements into [0, 1] (ammo/40, health/100, kills/10, clipped)."""
     return _normalize_raw(m.ammo, m.health, m.kills)
 
 
@@ -239,6 +240,7 @@ def _generate_walls(width: int, height: int,
     return walls
 
 
+@functools.cache
 def _window_offsets(radius: int) -> list[np.ndarray]:
     """Per-heading world offsets for each egocentric window cell.
 
@@ -261,9 +263,6 @@ def _window_offsets(radius: int) -> list[np.ndarray]:
                 i += 1
         per_heading.append(offs)
     return per_heading
-
-
-_OFFSET_CACHE: dict[int, list[np.ndarray]] = {}
 
 
 def observation_size(radius: int = DEFAULT_OBS_RADIUS) -> int:
@@ -336,9 +335,6 @@ class GridBattleEnv:
     @property
     def measurements(self) -> Measurements:
         return Measurements(self.ammo, self.health, self.kills)
-
-    def measurements_normalized(self) -> np.ndarray:
-        return _normalize_raw(self.ammo, self.health, self.kills)
 
     def state_snapshot(self) -> dict:
         """Full comparable state, including the generator state; two envs with
@@ -497,10 +493,7 @@ class GridBattleEnv:
     def observe(self, radius: int = DEFAULT_OBS_RADIUS) -> np.ndarray:
         """Egocentric occupancy channels (wall, monster, ammo, health kit)
         rotated to the agent's heading, plus normalized measurements."""
-        offs = _OFFSET_CACHE.get(radius)
-        if offs is None:
-            offs = _window_offsets(radius)
-            _OFFSET_CACHE[radius] = offs
+        offs = _window_offsets(radius)
         side = 2 * radius + 1
         n = side * side
         off = offs[self.heading]
@@ -530,7 +523,7 @@ class GridBattleEnv:
             if item.active:
                 mark(2 * n if item.kind == ITEM_AMMO else 3 * n,
                      item.row, item.col)
-        vec[4 * n:] = self.measurements_normalized()
+        vec[4 * n:] = _normalize_raw(self.ammo, self.health, self.kills)
         return vec
 
 

@@ -209,6 +209,13 @@ def genome_from_text(text: str) -> Genome:
                                     float(parts[4]), parts[5] == "1")
         else:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}")
+    for nid in (*INPUT_IDS, *OUTPUT_IDS):
+        kind = NODE_INPUT if nid in INPUT_IDS else NODE_OUTPUT
+        if nid not in nodes or nodes[nid].kind != kind:
+            raise ValueError(f"genome lacks node {nid} of type {kind!r}")
+    for c in conns.values():
+        if c.src not in nodes or c.dst not in nodes:
+            raise ValueError(f"connection {c.innovation} names an unknown node")
     return Genome(nodes=nodes, conns=conns)
 
 

@@ -46,10 +46,6 @@ class EvolutionConfig:
     stagnation_generations: int = 15
     elitism: int = 2
     survival_fraction: float = 0.2
-    # True freezes the evaluation seeds across generations (used by the
-    # elitism monotonicity property); normally each generation draws fresh
-    # episode seeds shared by every genome in it.
-    fixed_eval_seeds: bool = False
     n_workers: int = 1  # 0 = one per CPU
 
     def validate(self) -> None:
@@ -61,6 +57,10 @@ class EvolutionConfig:
             raise ConfigError("survival_fraction must be in (0, 1]")
         if self.episodes_per_eval < 1:
             raise ConfigError("episodes_per_eval must be >= 1")
+        if self.elitism < 0:
+            raise ConfigError("elitism must be >= 0")
+        if self.n_workers < 0:
+            raise ConfigError("n_workers must be >= 0 (0 = one per CPU)")
 
 
 class InnovationRegistry:
@@ -450,7 +450,7 @@ def evolve_against(config: EvolutionConfig, fitness_fn, seed: int,
     n_evaluations = 0
 
     for gen in range(config.generations):
-        gen_seed = derive_seed(seed, 0 if config.fixed_eval_seeds else gen, 23)
+        gen_seed = derive_seed(seed, gen, 23)
         if eval_map is not None:
             results = eval_map(population, gen_seed)
         else:

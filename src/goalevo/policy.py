@@ -15,7 +15,7 @@ import numpy as np
 
 from . import goal_net
 from .env import (ACTION_NAMES, EpisodeRecord, GridBattleEnv, Measurements,
-                  episode_fitness, normalize_measurements)
+                  normalize_measurements)
 
 # Aggressive default goal: some weight on ammo and health, full weight on kills.
 STATIC_GOAL = (0.5, 0.5, 1.0)
@@ -46,16 +46,9 @@ def default_horizon_weights(n_offsets: int) -> tuple[float, ...]:
     return tuple(w)
 
 
-def utility(predictions_for_action: np.ndarray, g: np.ndarray,
-            w: np.ndarray) -> float:
-    """sum_k w_k * (g . predicted_delta_at_offset_k) for one action's (K, 3)
-    prediction block."""
-    preds = np.asarray(predictions_for_action, dtype=float)
-    return float(np.asarray(w, dtype=float) @ (preds @ np.asarray(g, dtype=float)))
-
-
 def action_utilities(predictions: np.ndarray, g, w) -> np.ndarray:
-    """Utilities for every action from an (A, K, 3) prediction tensor."""
+    """Utility of every action from an (A, K, 3) prediction tensor:
+    sum_k w_k * (g . predicted_delta_at_offset_k)."""
     preds = np.asarray(predictions, dtype=float)
     return (preds @ np.asarray(g, dtype=float)) @ np.asarray(w, dtype=float)
 
@@ -66,8 +59,7 @@ def select_action(net, obs: np.ndarray, m: Measurements, g,
     predictions = net.forward(obs, m, g)
     if w is None:
         w = default_horizon_weights(predictions.shape[1])
-    return int(np.argmax((predictions @ np.asarray(g, dtype=float))
-                         @ np.asarray(w, dtype=float)))
+    return int(np.argmax(action_utilities(predictions, g, w)))
 
 
 # -- goal providers ----------------------------------------------------------
@@ -107,11 +99,6 @@ class NetworkGoal:
         return goal_net.activate(self.net, normalize_measurements(m))
 
 
-def provide_goal(provider, m: Measurements) -> np.ndarray:
-    """Evaluate a goal provider on the current measurements."""
-    return provider(m)
-
-
 def parse_goal_spec(spec: str):
     """Build a provider from a spec string:
     ``static:a,b,c`` | ``hardcoded`` | ``defensive`` | ``evolved:<genome file>``.
@@ -128,7 +115,7 @@ def parse_goal_spec(spec: str):
         if len(parts) != 3:
             raise ValueError(f"static goal needs 3 components: {spec!r}")
         goal = tuple(float(p) for p in parts)
-        if any(abs(v) > 1.0 for v in goal):
+        if not all(-1.0 <= v <= 1.0 for v in goal):  # NaN fails too
             raise ValueError(f"goal components must lie in [-1, 1]: {spec!r}")
         return StaticGoal(goal)
     if spec.startswith("evolved:"):
@@ -180,9 +167,3 @@ def run_episode(env: GridBattleEnv, seed: int, net, provider,
         goal_steps=env.steps,
         trace=trace,
     )
-
-
-def rollout_fitness(env: GridBattleEnv, seed: int, net, provider,
-                    horizon_weights=None) -> float:
-    record = run_episode(env, seed, net, provider, horizon_weights)
-    return episode_fitness(record, env.config)

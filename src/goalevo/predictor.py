@@ -11,7 +11,6 @@ each episode start, so the model never commits to one objective.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,17 +34,13 @@ class PredictorConfig:
     temporal_offsets: tuple[int, ...] = DEFAULT_OFFSETS
     hidden_sizes: tuple[int, ...] = (128, 128)
     learning_rate: float = 1e-3
-    momentum: float = 0.9  # sgd momentum / adam beta1
-    optimizer: str = "adam"
+    momentum: float = 0.9  # adam beta1
     batch_size: int = 64
     replay_capacity: int = 100_000
+    # epsilon anneals linearly, once per episode, from start to end over the
+    # first half of the episodes
     epsilon_start: float = 1.0
     epsilon_end: float = 0.1
-    # Env steps over which epsilon anneals linearly. 0 = automatic: anneal
-    # over the steps actually taken during the first half of the episodes
-    # (early-training episodes often end long before the step limit, so a
-    # step budget computed from episode_length would barely decay).
-    epsilon_decay_steps: int = 0
     training_episodes: int = 2000
     train_interval: int = 8  # one gradient step per this many env steps
 
@@ -61,12 +56,6 @@ class PredictorConfig:
             raise ConfigError("replay capacity must hold at least one batch")
         if self.training_episodes < 1 or self.train_interval < 1:
             raise ConfigError("training_episodes and train_interval must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-
-
-def _leaky(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0, z, LEAKY_SLOPE * z)
 
 
 def _leaky_grad(z: np.ndarray) -> np.ndarray:
@@ -83,10 +72,7 @@ class PredictorNet:
                  n_actions: int = N_ACTIONS,
                  learning_rate: float = PredictorConfig.learning_rate,
                  momentum: float = PredictorConfig.momentum,
-                 optimizer: str = PredictorConfig.optimizer,
                  rng: np.random.Generator | None = None):
-        if optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {optimizer!r}")
         self.obs_dim = int(obs_dim)
         self.offsets = tuple(int(o) for o in offsets)
         self.n_actions = int(n_actions)
@@ -95,7 +81,6 @@ class PredictorNet:
         self.output_dim = self.n_actions * self.n_offsets * N_MEASUREMENTS
         self.learning_rate = float(learning_rate)
         self.momentum = float(momentum)
-        self.optimizer = optimizer
 
         sizes = [self.input_dim, *hidden_sizes, self.output_dim]
         if rng is None:
@@ -110,7 +95,7 @@ class PredictorNet:
 
     def _reset_optimizer_state(self) -> None:
         params = self.weights + self.biases
-        self._vel = [np.zeros_like(p) for p in params]  # sgd momentum / adam m
+        self._vel = [np.zeros_like(p) for p in params]  # adam m
         self._sq = [np.zeros_like(p) for p in params]   # adam v
         self._t = 0
 
@@ -134,20 +119,6 @@ class PredictorNet:
             np.maximum(x, LEAKY_SLOPE * x, out=x)
         out = self.weights[-1] @ x + self.biases[-1]
         return out.reshape(self.n_actions, self.n_offsets, N_MEASUREMENTS)
-
-    def _forward_batch(self, x: np.ndarray):
-        """Returns (activations, pre-activations, output) for backprop."""
-        acts = [x]
-        zs = []
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = acts[-1] @ w.T + b
-            zs.append(z)
-            acts.append(_leaky(z))
-        out = acts[-1] @ self.weights[-1].T + self.biases[-1]
-        return acts, zs, out
-
-    def parameters(self) -> list[np.ndarray]:
-        return [*self.weights, *self.biases]
 
 
 # -- experience ---------------------------------------------------------------
@@ -250,23 +221,27 @@ def _assemble(net: PredictorNet, batch):
     return x, actions, targets, mask
 
 
-def gradients(net: PredictorNet, batch):
-    """Loss plus analytic parameter gradients for a batch.
-
-    The loss is the mean squared error over the valid (offset, measurement)
-    entries of each sample's taken action.
-    """
+def _loss(net: PredictorNet, batch, need_grads: bool):
+    """Batched forward pass, loss and, if asked, the backward pass."""
     x, actions, targets, mask = _assemble(net, batch)
     n_valid = int(mask.sum()) * N_MEASUREMENTS
     if n_valid == 0:
         raise ValueError("batch has no valid targets (all offsets masked)")
 
-    acts, zs, out = net._forward_batch(x)
+    acts = [x]
+    zs = []
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = acts[-1] @ w.T + b
+        zs.append(z)
+        acts.append(np.maximum(z, LEAKY_SLOPE * z))
+    out = acts[-1] @ net.weights[-1].T + net.biases[-1]
     preds = out.reshape(len(batch), net.n_actions, net.n_offsets, N_MEASUREMENTS)
     rows = np.arange(len(batch))
     taken = preds[rows, actions]                       # (B, K, 3)
     err = (taken - targets) * mask[:, :, None]
     loss = float(np.sum(err * err) / n_valid)
+    if not need_grads:
+        return loss, None, None
 
     d_out = np.zeros_like(preds)
     d_out[rows, actions] = 2.0 * err / n_valid
@@ -282,17 +257,18 @@ def gradients(net: PredictorNet, batch):
     return loss, grads_w, grads_b
 
 
+def gradients(net: PredictorNet, batch):
+    """Loss plus analytic parameter gradients for a batch.
+
+    The loss is the mean squared error over the valid (offset, measurement)
+    entries of each sample's taken action.
+    """
+    return _loss(net, batch, need_grads=True)
+
+
 def batch_loss(net: PredictorNet, batch) -> float:
     """Loss on a batch without updating anything."""
-    x, actions, targets, mask = _assemble(net, batch)
-    n_valid = int(mask.sum()) * N_MEASUREMENTS
-    if n_valid == 0:
-        raise ValueError("batch has no valid targets (all offsets masked)")
-    _, _, out = net._forward_batch(x)
-    preds = out.reshape(len(batch), net.n_actions, net.n_offsets, N_MEASUREMENTS)
-    taken = preds[np.arange(len(batch)), actions]
-    err = (taken - targets) * mask[:, :, None]
-    return float(np.sum(err * err) / n_valid)
+    return _loss(net, batch, need_grads=False)[0]
 
 
 ADAM_BETA2 = 0.999
@@ -300,18 +276,11 @@ ADAM_EPS = 1e-8
 
 
 def train_step(net: PredictorNet, batch) -> float:
-    """One gradient update (Adam by default, or SGD with momentum); returns
-    the pre-update loss."""
+    """One Adam update (beta1 from the momentum field, standard beta2 and
+    epsilon); returns the pre-update loss."""
     loss, grads_w, grads_b = gradients(net, batch)
     params = net.weights + net.biases
     grads = grads_w + grads_b
-    if net.optimizer == "sgd":
-        for p, g, vel in zip(params, grads, net._vel):
-            vel *= net.momentum
-            vel -= net.learning_rate * g
-            p += vel
-        return loss
-    # adam: beta1 from the momentum field, standard beta2/epsilon
     net._t += 1
     beta1 = net.momentum
     corr1 = 1.0 - beta1 ** net._t
@@ -368,33 +337,24 @@ def collect_and_train(env_factory, config: PredictorConfig, seed: int,
             hidden_sizes=config.hidden_sizes,
             learning_rate=config.learning_rate,
             momentum=config.momentum,
-            optimizer=config.optimizer,
             rng=np.random.default_rng(derive_seed(seed, 0)),
         )
     rng = np.random.default_rng(derive_seed(seed, 1))
     replay = ReplayBuffer(config.replay_capacity)
 
     log: list[EpochStats] = []
-    global_step = 0
     for ep in range(config.training_episodes):
         goal = rng.uniform(-1.0, 1.0, size=3)
         env.reset(derive_seed(seed, 2, ep))
         observations, actions = [], []
         m_raw = [env.measurements.as_array()]
         action_counts = np.zeros(N_ACTIONS, dtype=int)
-        if config.epsilon_decay_steps > 0:
-            eps = epsilon_at(global_step, config.epsilon_start,
-                             config.epsilon_end, config.epsilon_decay_steps)
-        else:
-            eps = epsilon_at(ep, config.epsilon_start, config.epsilon_end,
-                             decay_episodes)
+        eps = epsilon_at(ep, config.epsilon_start, config.epsilon_end,
+                         decay_episodes)
         done = False
         while not done:
             obs = env.observe()
             m = env.measurements
-            if config.epsilon_decay_steps > 0:
-                eps = epsilon_at(global_step, config.epsilon_start,
-                                 config.epsilon_end, config.epsilon_decay_steps)
             if rng.random() < eps:
                 action = int(rng.integers(N_ACTIONS))
             else:
@@ -404,7 +364,6 @@ def collect_and_train(env_factory, config: PredictorConfig, seed: int,
             action_counts[action] += 1
             m, done = env.step(action)
             m_raw.append(m.as_array())
-            global_step += 1
         replay.extend(episode_to_samples(observations, m_raw, goal, actions,
                                          config.temporal_offsets))
         losses = []
@@ -452,7 +411,6 @@ def save_predictor(net: PredictorNet, path: str | Path,
         "hidden_sizes": [w.shape[0] for w in net.weights[:-1]],
         "learning_rate": net.learning_rate,
         "momentum": net.momentum,
-        "optimizer": net.optimizer,
         "arrays": [{"name": n, "shape": list(a.shape)}
                    for n, a in zip(names, arrays)],
         "config": config_echo or {},
@@ -478,7 +436,6 @@ def load_predictor(path: str | Path):
         n_actions=header["n_actions"],
         learning_rate=header["learning_rate"],
         momentum=header["momentum"],
-        optimizer=header.get("optimizer", "adam"),
     )
     offset = 0
     arrays = []
@@ -496,7 +453,3 @@ def load_predictor(path: str | Path):
         net.biases[i] = arrays[2 * i + 1]
     net._reset_optimizer_state()
     return net, header.get("config", {})
-
-
-def model_input_dim(obs_dim: int) -> int:
-    return obs_dim + 2 * N_MEASUREMENTS

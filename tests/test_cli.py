@@ -229,6 +229,31 @@ def test_evaluate_traces_written_when_requested(tmp_path, trained_model):
     assert len(trace) > 1
 
 
+def test_evaluate_write_traces_accepts_yes(tmp_path, trained_model):
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(TINY_SCENARIO + f"predictor_path = {trained_model}\n"
+                   "providers = defensive | hardcoded\nevaluation_episodes = 2\n"
+                   "write_traces = yes\n")
+    out = tmp_path / "out"
+    assert cli.main(["evaluate", "--config", str(cfg), "--seed", "1",
+                     "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("trace_*.csv")) == \
+        ["trace_defensive.csv", "trace_hardcoded.csv"]
+
+
+def test_evaluate_write_traces_rejects_non_boolean(tmp_path, trained_model,
+                                                   capsys):
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(TINY_SCENARIO + f"predictor_path = {trained_model}\n"
+                   "providers = defensive\nevaluation_episodes = 2\n"
+                   "write_traces = maybe\n")
+    assert cli.main(["evaluate", "--config", str(cfg), "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "maybe" in err[0]
+
+
 # -- sweep ------------------------------------------------------------------
 
 
@@ -280,6 +305,24 @@ def test_sweep_missing_genome(tmp_path):
     cfg.write_text("genome_path = /nonexistent/genome.txt\n")
     assert cli.main(["sweep", "--config", str(cfg), "--seed", "0",
                      "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("old, new", [
+    ("node 5 0.25 out\n", ""),                    # output node missing
+    ("node 0 0.0 in\n", "node 0 0.0 hidden\n"),  # input node of the wrong type
+    ("", "conn 9 0 7 1.0 1\n"),                   # connection to an unknown node
+])
+def test_sweep_rejects_incomplete_genome(tmp_path, capsys, old, new):
+    genome_path = constant_genome(tmp_path)
+    text = genome_path.read_text()
+    assert old in text
+    genome_path.write_text(text.replace(old, new) if old else text + new)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"genome_path = {genome_path}\n")
+    assert cli.main(["sweep", "--config", str(cfg), "--seed", "0",
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 # -- entry point --------------------------------------------------------------

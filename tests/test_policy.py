@@ -9,8 +9,8 @@ from goalevo.goal_net import ConnGene, Genome, NodeGene
 from goalevo.policy import (DEFAULT_HORIZON_WEIGHTS, DefensiveGoal,
                             HardcodedGoal, NetworkGoal, StaticGoal,
                             action_utilities, default_horizon_weights,
-                            goal_spec_label, parse_goal_spec, provide_goal,
-                            run_episode, select_action, utility)
+                            goal_spec_label, parse_goal_spec, run_episode,
+                            select_action)
 from goalevo.predictor import PredictorNet
 
 from conftest import make_scenario
@@ -35,13 +35,14 @@ M = Measurements(10, 80, 3)
 
 def test_zero_goal_gives_zero_utility():
     preds = np.random.default_rng(0).normal(size=(4, 3))
-    assert utility(preds, np.zeros(3), np.ones(4)) == 0.0
+    assert action_utilities(preds[None], np.zeros(3), np.ones(4))[0] == 0.0
 
 
 def test_single_offset_utility_example():
     # one offset, unit weight: utility is just g . delta
-    assert utility(np.array([[1.0, 0.0, 0.0]]), np.array([0.5, 0.5, 1.0]),
-                   np.array([1.0])) == pytest.approx(0.5)
+    assert action_utilities(np.array([[[1.0, 0.0, 0.0]]]),
+                            np.array([0.5, 0.5, 1.0]),
+                            np.array([1.0]))[0] == pytest.approx(0.5)
 
 
 def test_two_offset_hand_computed_utility():
@@ -49,7 +50,7 @@ def test_two_offset_hand_computed_utility():
     g = np.array([0.5, 1.0, -1.0])
     w = np.array([0.5, 1.0])
     # 0.5*(g.(0,1,0)) + 1.0*(g.(0,0,2)) = 0.5*1 + 1*(-2) = -1.5
-    assert utility(preds, g, w) == pytest.approx(-1.5)
+    assert action_utilities(preds[None], g, w)[0] == pytest.approx(-1.5)
 
 
 @settings(max_examples=50, deadline=None)
@@ -59,9 +60,10 @@ def test_utility_linear_in_goal(seed):
     preds = rng.normal(size=(5, 3))
     g1, g2 = rng.normal(size=3), rng.normal(size=3)
     w = rng.normal(size=5)
-    left = utility(preds, g1 + g2, w)
-    assert left == pytest.approx(utility(preds, g1, w) + utility(preds, g2, w),
-                                 rel=1e-9, abs=1e-12)
+    left = action_utilities(preds[None], g1 + g2, w)[0]
+    right = (action_utilities(preds[None], g1, w)[0]
+             + action_utilities(preds[None], g2, w)[0])
+    assert left == pytest.approx(right, rel=1e-9, abs=1e-12)
 
 
 # -- action selection ----------------------------------------------------------
@@ -120,25 +122,25 @@ def test_default_horizon_weights_shapes():
 
 def test_hardcoded_switches_strictly_below_50():
     hardcoded = HardcodedGoal()
-    np.testing.assert_array_equal(provide_goal(hardcoded, Measurements(5, 49, 0)),
+    np.testing.assert_array_equal(hardcoded(Measurements(5, 49, 0)),
                                   [0.0, 1.0, -1.0])
-    np.testing.assert_array_equal(provide_goal(hardcoded, Measurements(5, 50, 0)),
+    np.testing.assert_array_equal(hardcoded(Measurements(5, 50, 0)),
                                   [0.5, 0.5, 1.0])
-    np.testing.assert_array_equal(provide_goal(hardcoded, Measurements(5, 100, 0)),
+    np.testing.assert_array_equal(hardcoded(Measurements(5, 100, 0)),
                                   [0.5, 0.5, 1.0])
 
 
 def test_defensive_goal_constant():
     defensive = DefensiveGoal()
     for m in (Measurements(0, 1, 0), Measurements(99, 100, 20)):
-        np.testing.assert_array_equal(provide_goal(defensive, m),
+        np.testing.assert_array_equal(defensive(m),
                                       [1.0, 1.0, -1.0])
 
 
 def test_static_goal_returns_its_constant():
     static = StaticGoal((0.2, -0.4, 0.9))
-    np.testing.assert_array_equal(provide_goal(static, M), [0.2, -0.4, 0.9])
-    np.testing.assert_array_equal(provide_goal(StaticGoal(), M), [0.5, 0.5, 1.0])
+    np.testing.assert_array_equal(static(M), [0.2, -0.4, 0.9])
+    np.testing.assert_array_equal(StaticGoal()(M), [0.5, 0.5, 1.0])
 
 
 def test_network_goal_queries_net_on_normalized_measurements():
@@ -177,6 +179,8 @@ def test_parse_goal_spec_errors(tmp_path):
         parse_goal_spec("static:1,2")
     with pytest.raises(ValueError):
         parse_goal_spec("static:2.0,0,0")  # out of goal range
+    with pytest.raises(ValueError):
+        parse_goal_spec("static:nan,0,0")  # not a number
     with pytest.raises(OSError):
         parse_goal_spec(f"evolved:{tmp_path / 'missing.txt'}")
 

@@ -184,22 +184,8 @@ def test_gradients_match_finite_differences():
         assert finite_difference_check(net, batch) < 1e-4
 
 
-def test_sgd_momentum_update_rule():
-    net = PredictorNet(2, offsets=(1, 2), hidden_sizes=(4,), n_actions=3,
-                       learning_rate=0.1, momentum=0.5, optimizer="sgd",
-                       rng=np.random.default_rng(9))
-    rng = np.random.default_rng(6)
-    batch = [random_sample(net, rng) for _ in range(4)]
-    w_before = [w.copy() for w in net.weights]
-    _, grads_w, _ = gradients(net, batch)
-    train_step(net, batch)
-    for w0, w1, g in zip(w_before, net.weights, grads_w):
-        np.testing.assert_allclose(w1, w0 - 0.1 * g, rtol=1e-12)
-
-
 def test_adam_moves_all_layers_and_respects_zero_gradient():
     net = tiny_net(seed=9, lr=0.01)
-    assert net.optimizer == "adam"
     rng = np.random.default_rng(6)
     batch = [random_sample(net, rng) for _ in range(4)]
     w_before = [w.copy() for w in net.weights]
