@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -21,8 +22,7 @@ from pathlib import Path
 from . import __version__, goal_net, neat, policy, predictor, stats
 from .configio import ConfigError, apply_overrides, parse_bool, parse_kv_file
 from .env import (GridBattleEnv, Measurements, episode_fitness,
-                  normalize_measurements, scenario_from_overrides,
-                  write_trace_csv)
+                  normalize_measurements, scenario_from_overrides)
 
 DEFAULT_EVALUATION_EPISODES = 20
 
@@ -34,6 +34,8 @@ FITNESS_FILE = "fitness.csv"
 COMPARISONS_FILE = "comparisons.csv"
 SWEEP_FILE = "sweep.csv"
 MANIFEST_FILE = "manifest.json"
+TRACE_HEADER = ("step", "action", "ammo", "health", "kills",
+                "agent_x", "agent_y")
 
 
 def _split_prefixed(config: dict[str, str], prefix: str) -> dict[str, str]:
@@ -41,15 +43,26 @@ def _split_prefixed(config: dict[str, str], prefix: str) -> dict[str, str]:
             if k.startswith(prefix)}
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    return parse_kv_file(path) if path else {}
+def _load_config(path: str | None, accepted: tuple[str, ...]) -> dict[str, str]:
+    """Read a config file and reject every key not in ``accepted``; a name
+    there that ends in "." stands for every key under that prefix."""
+    config = parse_kv_file(path) if path else {}
+    for key in config:
+        if not any(key == name or (name.endswith(".") and key.startswith(name))
+                   for name in accepted):
+            raise ConfigError(f"unknown config key {key!r}")
+    return config
 
 
-def _parse_horizon_weights(config: dict[str, str]):
+def _parse_horizon_weights(config: dict[str, str], n_offsets: int):
     raw = config.get("horizon_weights")
     if raw is None:
         return None
-    return tuple(float(p) for p in raw.split(","))
+    weights = tuple(float(p) for p in raw.split(","))
+    if len(weights) != n_offsets:
+        raise ConfigError(f"horizon_weights has {len(weights)} values, but the "
+                          f"predictor has {n_offsets} temporal offsets")
+    return weights
 
 
 def _sha256(path: Path) -> str:
@@ -77,6 +90,14 @@ def _write_manifest(out_dir: Path, command: str, seed: int, resolved: dict,
     return path
 
 
+def _write_csv(path: Path, header, rows) -> Path:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def _announce(paths) -> None:
     for p in paths:
         print(p)
@@ -97,12 +118,12 @@ def _out_dir(path: str) -> Path:
 
 def cmd_train_predictor(config: dict[str, str], seed: int, out: str) -> int:
     """Goal-agnostic predictor training on the (default: original) scenario."""
-    out_dir = _out_dir(out)
     scenario = _scenario_from_config(config)
     pred_config = apply_overrides(predictor.PredictorConfig(),
                                   _split_prefixed(config, "predictor."))
     pred_config.validate()
-    horizon = _parse_horizon_weights(config)
+    horizon = _parse_horizon_weights(config, len(pred_config.temporal_offsets))
+    out_dir = _out_dir(out)
 
     net, log = predictor.collect_and_train(
         lambda: GridBattleEnv(scenario), pred_config, seed,
@@ -114,8 +135,9 @@ def cmd_train_predictor(config: dict[str, str], seed: int, out: str) -> int:
         "predictor": dataclasses.asdict(pred_config),
         "seed": seed,
     })
-    loss_path = out_dir / LOSS_FILE
-    predictor.write_loss_csv(log, loss_path)
+    loss_path = _write_csv(out_dir / LOSS_FILE, ("epoch", "loss", "epsilon"),
+                           ((row.episode, repr(row.loss), repr(row.epsilon))
+                            for row in log))
     resolved = {
         "scenario": dataclasses.asdict(scenario),
         "predictor": dataclasses.asdict(pred_config),
@@ -140,22 +162,28 @@ def _require_model(config: dict[str, str]) -> Path:
 def cmd_evolve(config: dict[str, str], seed: int, out: str) -> int:
     """Evolve a goal network on the configured scenario; the predictor stays
     frozen, only goals adapt."""
-    out_dir = _out_dir(out)
     scenario = _scenario_from_config(config)
     evo_config = apply_overrides(neat.EvolutionConfig(),
                                  _split_prefixed(config, "evolution."))
     evo_config.validate()
-    horizon = _parse_horizon_weights(config)
     model_path = _require_model(config)
     net, _ = predictor.load_predictor(model_path)
+    horizon = _parse_horizon_weights(config, net.n_offsets)
+    out_dir = _out_dir(out)
 
     result = neat.evolve(evo_config, net, scenario, seed,
                          horizon_weights=horizon)
 
     genome_path = out_dir / GENOME_FILE
     goal_net.save_genome(result.best_genome, genome_path)
-    gen_path = out_dir / GENERATIONS_FILE
-    write_generation_csv(result, gen_path)
+    gen_path = _write_csv(
+        out_dir / GENERATIONS_FILE,
+        ("generation", "best_fitness", "mean_fitness", "mean_goal_ammo",
+         "mean_goal_health", "mean_goal_kills", "events"),
+        ((row.generation, repr(row.best_fitness), repr(row.mean_fitness),
+          repr(float(row.mean_goal[0])), repr(float(row.mean_goal[1])),
+          repr(float(row.mean_goal[2])), row.events)
+         for row in result.generations))
     resolved = {
         "scenario": dataclasses.asdict(scenario),
         "evolution": dataclasses.asdict(evo_config),
@@ -170,25 +198,10 @@ def cmd_evolve(config: dict[str, str], seed: int, out: str) -> int:
     return 0
 
 
-def write_generation_csv(result: neat.EvolutionResult, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("generation", "best_fitness", "mean_fitness",
-                         "mean_goal_ammo", "mean_goal_health",
-                         "mean_goal_kills", "events"))
-        for row in result.generations:
-            writer.writerow((row.generation, repr(row.best_fitness),
-                             repr(row.mean_fitness),
-                             repr(float(row.mean_goal[0])),
-                             repr(float(row.mean_goal[1])),
-                             repr(float(row.mean_goal[2])),
-                             row.events))
-
-
 def _parse_providers(config: dict[str, str]):
-    raw = config.get("providers") or config.get("goal")
+    raw = config.get("providers")
     if not raw:
-        raise ConfigError("config key 'providers' (or 'goal') is required")
+        raise ConfigError("config key 'providers' is required")
     specs = [part.strip() for part in raw.split("|") if part.strip()]
     providers = []
     labels: list[str] = []
@@ -207,9 +220,7 @@ def _parse_providers(config: dict[str, str]):
 def cmd_evaluate(config: dict[str, str], seed: int, out: str) -> int:
     """Evaluate each goal provider over shared episode seeds and report all
     pairwise rank tests."""
-    out_dir = _out_dir(out)
     scenario = _scenario_from_config(config)
-    horizon = _parse_horizon_weights(config)
     episodes = int(config.get("evaluation_episodes",
                               DEFAULT_EVALUATION_EPISODES))
     if episodes < 1:
@@ -217,7 +228,9 @@ def cmd_evaluate(config: dict[str, str], seed: int, out: str) -> int:
     write_traces = parse_bool(config.get("write_traces", "false"))
     model_path = _require_model(config)
     net, _ = predictor.load_predictor(model_path)
+    horizon = _parse_horizon_weights(config, net.n_offsets)
     providers = _parse_providers(config)
+    out_dir = _out_dir(out)
 
     # paired comparisons: every provider sees the same episode seeds
     episode_seeds = [seed + 1 + i for i in range(episodes)]
@@ -234,27 +247,22 @@ def cmd_evaluate(config: dict[str, str], seed: int, out: str) -> int:
             values.append(fit)
             fitness_rows.append((label, spec, i, ep_seed, repr(fit)))
             if write_traces and i == 0:
-                trace_path = out_dir / f"trace_{label.replace('#', '_')}.csv"
-                write_trace_csv(record.trace, trace_path)
-                extra_outputs.append(trace_path)
+                extra_outputs.append(_write_csv(
+                    out_dir / f"trace_{label.replace('#', '_')}.csv",
+                    TRACE_HEADER, record.trace))
         sample_sets.append(stats.SampleSet(label, tuple(values)))
 
-    fitness_path = out_dir / FITNESS_FILE
-    with open(fitness_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("provider", "spec", "episode", "seed", "fitness"))
-        writer.writerows(fitness_rows)
-
-    comparisons_path = out_dir / COMPARISONS_FILE
-    with open(comparisons_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("label_a", "label_b", "mean_a", "mean_b", "U", "p"))
-        for i in range(len(sample_sets)):
-            for j in range(i + 1, len(sample_sets)):
-                row = stats.compare_sample_sets(sample_sets[i], sample_sets[j])
-                writer.writerow((row["label_a"], row["label_b"],
-                                 repr(row["mean_a"]), repr(row["mean_b"]),
-                                 repr(row["U"]), repr(row["p"])))
+    fitness_path = _write_csv(out_dir / FITNESS_FILE,
+                              ("provider", "spec", "episode", "seed", "fitness"),
+                              fitness_rows)
+    comparisons = (stats.compare_sample_sets(a, b)
+                   for a, b in itertools.combinations(sample_sets, 2))
+    comparisons_path = _write_csv(
+        out_dir / COMPARISONS_FILE,
+        ("label_a", "label_b", "mean_a", "mean_b", "U", "p"),
+        ((row["label_a"], row["label_b"], repr(row["mean_a"]),
+          repr(row["mean_b"]), repr(row["U"]), repr(row["p"]))
+         for row in comparisons))
 
     inputs = {"predictor": model_path}
     for label, spec, _ in providers:
@@ -317,24 +325,22 @@ def sweep_rows(net: goal_net.FeedForwardNet, spec: SweepSpec):
 
 def cmd_sweep(config: dict[str, str], seed: int, out: str) -> int:
     """Activate a goal network over measurement grids and dump (m, g) rows."""
-    out_dir = _out_dir(out)
+    spec = apply_overrides(SweepSpec(), _split_prefixed(config, "sweep."))
     raw_genome = config.get("genome_path")
     if not raw_genome:
         raise ConfigError("config key 'genome_path' is required")
     genome_path = Path(raw_genome)
     if not genome_path.exists():
         raise ConfigError(f"genome file not found: {genome_path}")
-    spec = apply_overrides(SweepSpec(), _split_prefixed(config, "sweep."))
     net = goal_net.decode(goal_net.load_genome(genome_path))
+    out_dir = _out_dir(out)
 
-    rows = sweep_rows(net, spec)
-    sweep_path = out_dir / SWEEP_FILE
-    with open(sweep_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("axis", "ammo", "health", "kills",
-                         "goal_ammo", "goal_health", "goal_kills"))
-        for row in rows:
-            writer.writerow(row[:4] + tuple(repr(v) for v in row[4:]))
+    sweep_path = _write_csv(
+        out_dir / SWEEP_FILE,
+        ("axis", "ammo", "health", "kills",
+         "goal_ammo", "goal_health", "goal_kills"),
+        (row[:4] + tuple(repr(v) for v in row[4:])
+         for row in sweep_rows(net, spec)))
 
     resolved = {"sweep": dataclasses.asdict(spec), "genome": str(genome_path)}
     manifest = _write_manifest(out_dir, "sweep", seed, resolved,
@@ -364,19 +370,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each command with the config keys it reads.
 _COMMANDS = {
-    "train-predictor": cmd_train_predictor,
-    "evolve": cmd_evolve,
-    "evaluate": cmd_evaluate,
-    "sweep": cmd_sweep,
+    "train-predictor": (cmd_train_predictor,
+                        ("scenario.", "predictor.", "horizon_weights")),
+    "evolve": (cmd_evolve, ("scenario.", "evolution.", "predictor_path",
+                            "horizon_weights")),
+    "evaluate": (cmd_evaluate, ("scenario.", "predictor_path", "providers",
+                                "evaluation_episodes", "write_traces",
+                                "horizon_weights")),
+    "sweep": (cmd_sweep, ("sweep.", "genome_path")),
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command, accepted = _COMMANDS[args.command]
     try:
-        config = _load_config(args.config)
-        return _COMMANDS[args.command](config, args.seed, args.out)
+        config = _load_config(args.config, accepted)
+        return command(config, args.seed, args.out)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,21 +40,20 @@ def parse_bool(value: str) -> bool:
     raise ConfigError(f"not a boolean: {value!r}")
 
 
-def coerce_value(value: str, typ) -> object:
-    """Coerce a config string to a dataclass field type."""
-    if typ is bool or typ == "bool":
+def coerce_value(value: str, typ: str) -> object:
+    """Coerce a config string to a dataclass field type. Config dataclasses
+    live in modules with postponed annotations, so ``typ`` is the field's
+    annotation as a string."""
+    if typ == "bool":
         return parse_bool(value)
-    if typ is int or typ == "int":
+    if typ == "int":
         return int(value)
-    if typ is float or typ == "float":
+    if typ == "float":
         return float(value)
-    if typ is str or typ == "str":
+    if typ == "str":
         return value
-    name = str(typ)
-    if name.startswith("tuple[int") or name.startswith("typing.Tuple[int"):
+    if typ.startswith("tuple[int"):
         return tuple(int(p) for p in value.split(",") if p.strip())
-    if name.startswith("tuple[float") or name.startswith("typing.Tuple[float"):
-        return tuple(float(p) for p in value.split(",") if p.strip())
     raise ConfigError(f"unsupported config field type {typ!r}")
 
 

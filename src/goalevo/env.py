@@ -12,16 +12,14 @@ trajectory. Instances share no state and can run in parallel freely.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
-from .configio import ConfigError, apply_overrides, parse_kv_file
+from .configio import ConfigError, apply_overrides
 
 # Measurement normalization scales shared by observations, prediction targets
 # and goal-network inputs. Levels are clipped to [0, 1] after scaling;
@@ -170,25 +168,14 @@ def scenario_preset(name: str) -> ScenarioConfig:
         ) from None
 
 
-def scenario_from_overrides(overrides: dict[str, str],
-                            base: ScenarioConfig | None = None) -> ScenarioConfig:
-    """Build a scenario from string overrides; ``preset_name`` picks the base."""
+def scenario_from_overrides(overrides: dict[str, str]) -> ScenarioConfig:
+    """Build a scenario from string overrides; ``preset_name`` picks the base
+    (default ``original``)."""
     overrides = dict(overrides)
-    if "preset_name" in overrides:
-        base = scenario_preset(overrides["preset_name"])
-        del overrides["preset_name"]
-    elif base is None:
-        base = original_scenario()
+    base = scenario_preset(overrides.pop("preset_name", "original"))
     cfg = apply_overrides(base, overrides)
     cfg.validate()
     return cfg
-
-
-def load_scenario(path: str | Path,
-                  base: ScenarioConfig | None = None) -> ScenarioConfig:
-    """Load a scenario from a ``key = value`` file whose keys match
-    ScenarioConfig fields exactly."""
-    return scenario_from_overrides(parse_kv_file(path), base=base)
 
 
 @dataclass
@@ -537,24 +524,10 @@ class EpisodeRecord:
     kills: int
     died: bool
     steps: int
-    final_measurements: Measurements
     goal_sum: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    goal_steps: int = 0
     trace: list[tuple] | None = None
 
 
 def episode_fitness(record, config: ScenarioConfig) -> float:
     """Kills minus the death penalty if the agent died."""
     return float(record.kills) - (config.death_penalty if record.died else 0.0)
-
-
-TRACE_HEADER = ("step", "action", "ammo", "health", "kills",
-                "agent_x", "agent_y")
-
-
-def write_trace_csv(trace: list[tuple], path: str | Path) -> None:
-    """Write a per-step episode trace with the documented column layout."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        writer.writerows(trace)

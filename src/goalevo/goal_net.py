@@ -8,6 +8,7 @@ goal outputs are valid goal-vector components by construction.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -76,72 +77,44 @@ class FeedForwardNet:
     eval_steps: list[tuple[int, float, list[tuple[int, float]]]]
 
 
-def _check_acyclic(genome: Genome) -> None:
-    """Reject genomes whose enabled connections contain a cycle."""
-    out_edges: dict[int, list[int]] = {}
-    indeg: dict[int, int] = {nid: 0 for nid in genome.nodes}
-    for c in genome.conns.values():
-        if not c.enabled:
-            continue
-        out_edges.setdefault(c.src, []).append(c.dst)
-        indeg[c.dst] = indeg.get(c.dst, 0) + 1
-    queue = sorted(nid for nid, d in indeg.items() if d == 0)
-    seen = 0
-    while queue:
-        nid = queue.pop()
-        seen += 1
-        for nxt in out_edges.get(nid, ()):
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                queue.append(nxt)
-    if seen != len(indeg):
-        raise GenomeCycleError("enabled connections form a cycle")
-
-
 def decode(genome: Genome) -> FeedForwardNet:
     """Build the executable net; hidden nodes with no path to an output are
-    pruned and never influence the result."""
-    _check_acyclic(genome)
-    enabled = [c for c in genome.conns.values() if c.enabled]
+    pruned and never influence the result.
 
-    # nodes that can reach an output, found by walking edges backwards
-    back: dict[int, list[int]] = {}
-    for c in enabled:
-        back.setdefault(c.dst, []).append(c.src)
-    useful = set(OUTPUT_IDS)
-    stack = list(OUTPUT_IDS)
-    while stack:
-        nid = stack.pop()
-        for src in back.get(nid, ()):
-            if src not in useful:
-                useful.add(src)
-                stack.append(src)
-    keep = set(INPUT_IDS) | set(OUTPUT_IDS) | {
-        nid for nid in genome.nodes
-        if genome.nodes[nid].kind == NODE_HIDDEN and nid in useful
-    }
-
-    edges = [c for c in enabled if c.src in keep and c.dst in keep]
+    One Kahn pass over the enabled connections, smallest node id first,
+    gives the evaluation order and rejects cycles; walking that order
+    backwards marks the nodes that reach an output.
+    """
     incoming: dict[int, list[ConnGene]] = {}
     out_edges: dict[int, list[int]] = {}
-    indeg = {nid: 0 for nid in keep}
-    for c in edges:
-        incoming.setdefault(c.dst, []).append(c)
-        out_edges.setdefault(c.src, []).append(c.dst)
-        indeg[c.dst] += 1
+    indeg = dict.fromkeys(genome.nodes, 0)
+    for c in genome.conns.values():
+        if c.enabled:
+            incoming.setdefault(c.dst, []).append(c)
+            out_edges.setdefault(c.src, []).append(c.dst)
+            indeg[c.dst] = indeg.get(c.dst, 0) + 1
 
-    # Kahn's algorithm with sorted frontier for a deterministic order
     order: list[int] = []
-    frontier = sorted(nid for nid in keep if indeg[nid] == 0)
+    frontier = sorted(nid for nid, d in indeg.items() if d == 0)
     while frontier:
-        nid = frontier.pop(0)
+        nid = heapq.heappop(frontier)
         order.append(nid)
-        ready = []
         for nxt in out_edges.get(nid, ()):
             indeg[nxt] -= 1
             if indeg[nxt] == 0:
-                ready.append(nxt)
-        frontier = sorted(frontier + ready)
+                heapq.heappush(frontier, nxt)
+    if len(order) != len(indeg):
+        raise GenomeCycleError("enabled connections form a cycle")
+
+    useful = set(OUTPUT_IDS)
+    for nid in reversed(order):
+        if nid in useful:
+            useful.update(c.src for c in incoming.get(nid, ()))
+    keep = set(INPUT_IDS) | set(OUTPUT_IDS) | {
+        nid for nid in useful
+        if nid in genome.nodes and genome.nodes[nid].kind == NODE_HIDDEN
+    }
+    order = [nid for nid in order if nid in keep]
 
     slots = {nid: i for i, nid in enumerate(order)}
     eval_steps = []
@@ -151,7 +124,8 @@ def decode(genome: Genome) -> FeedForwardNet:
         node = genome.nodes[nid]
         sources = [(slots[c.src], c.weight)
                    for c in sorted(incoming.get(nid, ()),
-                                   key=lambda c: c.innovation)]
+                                   key=lambda c: c.innovation)
+                   if c.src in keep]
         eval_steps.append((slots[nid], node.bias, sources))
     return FeedForwardNet(
         n_values=len(order),

@@ -203,11 +203,23 @@ def _mutate_delete_connection(genome: Genome, rng: np.random.Generator) -> None:
     del genome.conns[innov]
 
 
+def _mutate_value(value: float, config: EvolutionConfig,
+                  rng: np.random.Generator) -> float:
+    """The per-gene rule for weights and biases: replace uniformly in range
+    with the replace rate, otherwise gaussian-perturb with the mutate rate."""
+    r = rng.random()
+    if r < config.weight_replace_rate:
+        return float(rng.uniform(config.weight_min, config.weight_max))
+    if r < config.weight_replace_rate + config.weight_mutate_rate:
+        return _clip_weight(
+            value + rng.normal(0.0, config.weight_perturb_sigma), config)
+    return value
+
+
 def mutate(genome: Genome, config: EvolutionConfig, rng: np.random.Generator,
            registry: InnovationRegistry) -> Genome:
     """Mutated copy: structural changes at their configured rates, then the
-    per-gene weight/bias rule (replace uniformly in range with the replace
-    rate, otherwise gaussian-perturb with the mutate rate)."""
+    per-gene weight/bias rule of ``_mutate_value``."""
     g = genome.copy()
     g.fitness = None
     if rng.random() < config.add_node_rate:
@@ -221,24 +233,11 @@ def mutate(genome: Genome, config: EvolutionConfig, rng: np.random.Generator,
 
     for innov in sorted(g.conns):
         conn = g.conns[innov]
-        r = rng.random()
-        if r < config.weight_replace_rate:
-            conn.weight = float(rng.uniform(config.weight_min, config.weight_max))
-        elif r < config.weight_replace_rate + config.weight_mutate_rate:
-            conn.weight = _clip_weight(
-                conn.weight + rng.normal(0.0, config.weight_perturb_sigma),
-                config)
+        conn.weight = _mutate_value(conn.weight, config, rng)
     for nid in sorted(g.nodes):
         node = g.nodes[nid]
-        if node.kind == goal_net.NODE_INPUT:
-            continue
-        r = rng.random()
-        if r < config.weight_replace_rate:
-            node.bias = float(rng.uniform(config.weight_min, config.weight_max))
-        elif r < config.weight_replace_rate + config.weight_mutate_rate:
-            node.bias = _clip_weight(
-                node.bias + rng.normal(0.0, config.weight_perturb_sigma),
-                config)
+        if node.kind != goal_net.NODE_INPUT:
+            node.bias = _mutate_value(node.bias, config, rng)
     return g
 
 
@@ -332,7 +331,7 @@ def evaluate(genome: Genome, predictor, scenario: ScenarioConfig, seed: int,
                              horizon_weights)
         fits.append(episode_fitness(record, scenario))
         goal_sum += record.goal_sum
-        steps += record.goal_steps
+        steps += record.steps
     mean_goal = goal_sum / steps if steps else np.zeros(3)
     return EvalResult(fits, float(np.mean(fits)), mean_goal, steps)
 

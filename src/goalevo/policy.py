@@ -83,12 +83,6 @@ class HardcodedGoal:
         return np.array(STATIC_GOAL)
 
 
-@dataclass(frozen=True)
-class DefensiveGoal:
-    def __call__(self, m: Measurements) -> np.ndarray:
-        return np.array(DEFENSIVE_GOAL)
-
-
 class NetworkGoal:
     """Goal network queried each step on the normalized measurements."""
 
@@ -107,7 +101,7 @@ def parse_goal_spec(spec: str):
     if spec == "hardcoded":
         return HardcodedGoal()
     if spec == "defensive":
-        return DefensiveGoal()
+        return StaticGoal(DEFENSIVE_GOAL)
     if spec == "static":
         return StaticGoal()
     if spec.startswith("static:"):
@@ -162,8 +156,6 @@ def run_episode(env: GridBattleEnv, seed: int, net, provider,
         kills=env.kills,
         died=not env.alive,
         steps=env.steps,
-        final_measurements=env.measurements,
         goal_sum=goal_sum,
-        goal_steps=env.steps,
         trace=trace,
     )

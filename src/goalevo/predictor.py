@@ -11,6 +11,7 @@ each episode start, so the model never commits to one objective.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -313,13 +314,11 @@ def epsilon_at(step: int, start: float, end: float, decay_steps: int) -> float:
 
 
 def collect_and_train(env_factory, config: PredictorConfig, seed: int,
-                      horizon_weights=None, net: PredictorNet | None = None,
-                      progress=None):
+                      horizon_weights=None, progress=None):
     """Run epsilon-greedy episodes with per-episode random goals, filling a
     replay buffer and applying periodic gradient steps.
 
-    Returns the trained net and one EpochStats per episode. Passing ``net``
-    continues training an existing network instead of building a fresh one.
+    Returns the trained net and one EpochStats per episode.
     """
     from .policy import default_horizon_weights, select_action
 
@@ -330,15 +329,14 @@ def collect_and_train(env_factory, config: PredictorConfig, seed: int,
     env = env_factory()
     decay_episodes = max(1, config.training_episodes // 2)
 
-    if net is None:
-        net = PredictorNet(
-            observation_size(DEFAULT_OBS_RADIUS),
-            offsets=config.temporal_offsets,
-            hidden_sizes=config.hidden_sizes,
-            learning_rate=config.learning_rate,
-            momentum=config.momentum,
-            rng=np.random.default_rng(derive_seed(seed, 0)),
-        )
+    net = PredictorNet(
+        observation_size(DEFAULT_OBS_RADIUS),
+        offsets=config.temporal_offsets,
+        hidden_sizes=config.hidden_sizes,
+        learning_rate=config.learning_rate,
+        momentum=config.momentum,
+        rng=np.random.default_rng(derive_seed(seed, 0)),
+    )
     rng = np.random.default_rng(derive_seed(seed, 1))
     replay = ReplayBuffer(config.replay_capacity)
 
@@ -377,16 +375,6 @@ def collect_and_train(env_factory, config: PredictorConfig, seed: int,
         if progress is not None:
             progress(stats)
     return net, log
-
-
-def write_loss_csv(log: list[EpochStats], path: str | Path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("epoch", "loss", "epsilon"))
-        for row in log:
-            writer.writerow((row.episode, repr(row.loss), repr(row.epsilon)))
 
 
 # -- persistence --------------------------------------------------------------
@@ -429,25 +417,33 @@ def load_predictor(path: str | Path):
     header = json.loads(header_line)
     if header.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a predictor model file")
-    net = PredictorNet(
-        header["obs_dim"],
-        offsets=header["offsets"],
-        hidden_sizes=header["hidden_sizes"],
-        n_actions=header["n_actions"],
-        learning_rate=header["learning_rate"],
-        momentum=header["momentum"],
-    )
+    try:
+        net = PredictorNet(
+            header["obs_dim"],
+            offsets=header["offsets"],
+            hidden_sizes=header["hidden_sizes"],
+            n_actions=header["n_actions"],
+            learning_rate=header["learning_rate"],
+            momentum=header["momentum"],
+        )
+        shapes = [tuple(meta["shape"]) for meta in header["arrays"]]
+    except KeyError as exc:
+        raise ValueError(f"{path}: model header lacks key {exc}") from None
+    layers = [p.shape for pair in zip(net.weights, net.biases) for p in pair]
+    if shapes != layers:
+        raise ValueError(f"{path}: model arrays {shapes} do not match the "
+                         f"layer shapes {layers} of its header")
+    counts = [math.prod(shape) for shape in shapes]
+    if len(blob) != 8 * sum(counts):
+        raise ValueError(f"{path}: model payload has {len(blob)} bytes, but "
+                         f"its header shapes need {8 * sum(counts)}")
     offset = 0
     arrays = []
-    for meta in header["arrays"]:
-        shape = tuple(meta["shape"])
-        count = int(np.prod(shape))
+    for shape, count in zip(shapes, counts):
         arr = np.frombuffer(blob, dtype="<f8", count=count,
                             offset=offset).reshape(shape).astype(float)
         arrays.append(arr)
         offset += count * 8
-    if offset != len(blob):
-        raise ValueError(f"{path}: trailing bytes in model file")
     for i in range(len(net.weights)):
         net.weights[i] = arrays[2 * i]
         net.biases[i] = arrays[2 * i + 1]

@@ -27,31 +27,6 @@ class SampleSet:
             raise ValueError(f"sample set {self.label!r} is empty")
 
 
-def summarize(values) -> tuple[float, float, int]:
-    """(mean, standard error of the mean, n). SE is 0 for a single value."""
-    vals = np.asarray(list(values), dtype=float)
-    if vals.size == 0:
-        raise ValueError("cannot summarize an empty sample")
-    if vals.size == 1:
-        return float(vals[0]), 0.0, 1
-    se = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
-    return float(np.mean(vals)), se, int(vals.size)
-
-
-def _midranks(pooled: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1; tied values share the mean of their rank span."""
-    order = np.argsort(pooled, kind="mergesort")
-    ranks = np.empty(len(pooled))
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j + 1 < len(pooled) and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
@@ -122,10 +97,12 @@ def mann_whitney_u(x, y, alternative: str = "two-sided") -> tuple[float, float]:
         raise ValueError("both samples must be non-empty")
     n1, n2 = int(xs.size), int(ys.size)
     pooled = np.concatenate([xs, ys])
-    ranks = _midranks(pooled)
+    _, inverse, tie_counts = np.unique(pooled, return_inverse=True,
+                                       return_counts=True)
+    # midranks: a run of tied values shares the mean of its rank span
+    ranks = (np.cumsum(tie_counts) - (tie_counts - 1) / 2.0)[inverse]
     u = float(np.sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0)
 
-    _, tie_counts = np.unique(pooled, return_counts=True)
     has_ties = bool(np.any(tie_counts > 1))
     if len(tie_counts) == 1:  # every value identical in both samples
         return u, 1.0
@@ -141,8 +118,8 @@ def compare_sample_sets(x: SampleSet, y: SampleSet) -> dict:
     return {
         "label_a": x.label,
         "label_b": y.label,
-        "mean_a": summarize(x.values)[0],
-        "mean_b": summarize(y.values)[0],
+        "mean_a": float(np.mean(x.values)),
+        "mean_b": float(np.mean(y.values)),
         "U": u,
         "p": p,
     }

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from goalevo import cli, goal_net
+from goalevo.env import ACTION_NAMES
 from goalevo.goal_net import ConnGene, Genome, NodeGene
 
 TINY_SCENARIO = """
@@ -223,10 +224,19 @@ def test_evaluate_traces_written_when_requested(tmp_path, trained_model):
     out = tmp_path / "out"
     assert cli.main(["evaluate", "--config", str(cfg), "--seed", "1",
                      "--out", str(out)]) == 0
-    trace = read_csv(out / "trace_defensive.csv")
+    trace_path = out / "trace_defensive.csv"
+    lines = trace_path.read_text().splitlines()
+    assert lines[0] == "step,action,ammo,health,kills,agent_x,agent_y"
+    trace = read_csv(trace_path)
     assert trace[0] == ["step", "action", "ammo", "health", "kills",
                        "agent_x", "agent_y"]
     assert len(trace) > 1
+    # one row per step: step, action name, ammo, health, kills, x, y
+    step, action, *numbers = trace[1]
+    assert step == "0" and action in ACTION_NAMES
+    assert numbers[:3] == ["20", "100", "0"]  # the original preset's start
+    assert all(0 <= int(v) < 15 for v in numbers[3:])
+    assert all(len(row) == 7 for row in trace)
 
 
 def test_evaluate_write_traces_accepts_yes(tmp_path, trained_model):
@@ -341,3 +351,87 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
     assert cli.main(["train-predictor", "--config", str(cfg), "--seed", "0",
                      "--out", str(tmp_path / "out")]) == 1
     assert "monster_speed" in capsys.readouterr().err
+
+
+def fails_before_work(tmp_path, capsys, command, config_text):
+    """Run ``command`` on the config; it must exit 1 with one error line and
+    without creating its output directory. Returns the error line."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config_text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--seed", "0",
+                     "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    return err[0]
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("evaluate", "evaluation_episode = 1", "evaluation_episode"),  # typo
+    ("evaluate", "goal = hardcoded", "goal"),  # not an alias of providers
+    ("evolve", "providers = hardcoded", "providers"),  # read by evaluate only
+    ("sweep", "predictor.batch_size = 8", "predictor.batch_size"),
+])
+def test_keys_a_command_does_not_read_are_rejected(tmp_path, capsys,
+                                                   trained_model, command,
+                                                   line, key):
+    valid = {
+        "evaluate": TINY_SCENARIO + f"predictor_path = {trained_model}\n"
+                    "providers = hardcoded\n",
+        "evolve": evolve_config(trained_model),
+        "sweep": f"genome_path = {constant_genome(tmp_path)}\n",
+    }[command]
+    error = fails_before_work(tmp_path, capsys, command, valid + line + "\n")
+    assert repr(key) in error
+
+
+@pytest.mark.parametrize("command", ["train-predictor", "evolve", "evaluate"])
+def test_horizon_weights_must_match_the_offset_count(tmp_path, capsys,
+                                                     trained_model, command):
+    config = {  # the tiny predictor has temporal offsets 1,2
+        "train-predictor": TINY_PREDICTOR,
+        "evolve": evolve_config(trained_model),
+        "evaluate": TINY_SCENARIO + f"predictor_path = {trained_model}\n"
+                    "providers = hardcoded\n",
+    }[command]
+    error = fails_before_work(tmp_path, capsys, command,
+                              config + "horizon_weights = 1,1,1\n")
+    assert "horizon_weights" in error
+
+
+def test_evaluate_accepts_horizon_weights_of_the_offset_count(tmp_path,
+                                                              trained_model):
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(TINY_SCENARIO + f"predictor_path = {trained_model}\n"
+                   "providers = hardcoded\nevaluation_episodes = 1\n"
+                   "horizon_weights = 0.5,1\n")
+    out = tmp_path / "out"
+    assert cli.main(["evaluate", "--config", str(cfg), "--seed", "0",
+                     "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["horizon_weights"] == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("damage", ["header lacks obs_dim", "truncated",
+                                    "trailing bytes", "one array too few"])
+def test_evaluate_rejects_a_damaged_model_file(tmp_path, capsys,
+                                               trained_model, damage):
+    header, payload = trained_model.read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    if damage == "header lacks obs_dim":
+        del fields["obs_dim"]
+    elif damage == "truncated":
+        payload = payload[:-8]
+    elif damage == "trailing bytes":
+        payload += bytes(8)
+    else:  # the last layer's bias is listed nowhere and stored nowhere
+        bias = fields["arrays"].pop()
+        payload = payload[:-8 * bias["shape"][0]]
+    header = json.dumps(fields).encode()
+    model = tmp_path / "damaged.model"
+    model.write_bytes(header + b"\n" + payload)
+    error = fails_before_work(tmp_path, capsys, "evaluate",
+                              TINY_SCENARIO + f"predictor_path = {model}\n"
+                              "providers = hardcoded\n")
+    assert str(model) in error

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goalevo import env as env_mod
-from goalevo.configio import ConfigError
+from goalevo.configio import ConfigError, parse_kv_file
 from goalevo.env import (ATTACK, MOVE_FORWARD, NOOP, EpisodeFinishedError,
                          GridBattleEnv, Item, Measurements, Monster,
                          episode_fitness, hard_scenario, no_ammo_scenario,
                          normalize_measurements, observation_size,
-                         original_scenario, scenario_preset, write_trace_csv)
+                         original_scenario, scenario_from_overrides,
+                         scenario_preset)
 
 from conftest import clear_interior_walls, empty_room, make_scenario, place_agent
 
@@ -461,8 +462,7 @@ def test_normalization_scales_and_clipping():
 
 
 def _record(kills, died):
-    return env_mod.EpisodeRecord(kills=kills, died=died, steps=100,
-                                 final_measurements=Measurements(0, 0, kills))
+    return env_mod.EpisodeRecord(kills=kills, died=died, steps=100)
 
 
 def test_fitness_original_no_death_penalty():
@@ -481,7 +481,7 @@ def test_scenario_file_roundtrip(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text("preset_name = hard\nmonster_damage = 7\n"
                     "# comment line\nepisode_length = 99\n")
-    cfg = env_mod.load_scenario(path)
+    cfg = scenario_from_overrides(parse_kv_file(path))
     assert cfg.preset_name == "hard"
     assert cfg.monster_damage == 7
     assert cfg.episode_length == 99
@@ -492,13 +492,4 @@ def test_scenario_file_unknown_key_rejected(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text("monster_speed = 3\n")
     with pytest.raises(ConfigError):
-        env_mod.load_scenario(path)
-
-
-def test_trace_csv_layout(tmp_path):
-    rows = [(0, "noop", 20, 100, 0, 5, 6), (1, "attack", 19, 100, 1, 5, 6)]
-    path = tmp_path / "trace.csv"
-    write_trace_csv(rows, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,action,ammo,health,kills,agent_x,agent_y"
-    assert lines[1] == "0,noop,20,100,0,5,6"
+        scenario_from_overrides(parse_kv_file(path))

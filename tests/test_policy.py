@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from goalevo import goal_net
 from goalevo.env import GridBattleEnv, Measurements, episode_fitness
 from goalevo.goal_net import ConnGene, Genome, NodeGene
-from goalevo.policy import (DEFAULT_HORIZON_WEIGHTS, DefensiveGoal,
-                            HardcodedGoal, NetworkGoal, StaticGoal,
+from goalevo.policy import (DEFAULT_HORIZON_WEIGHTS, HardcodedGoal,
+                            NetworkGoal, StaticGoal,
                             action_utilities, default_horizon_weights,
                             goal_spec_label, parse_goal_spec, run_episode,
                             select_action)
@@ -131,7 +131,7 @@ def test_hardcoded_switches_strictly_below_50():
 
 
 def test_defensive_goal_constant():
-    defensive = DefensiveGoal()
+    defensive = parse_goal_spec("defensive")
     for m in (Measurements(0, 1, 0), Measurements(99, 100, 20)):
         np.testing.assert_array_equal(defensive(m),
                                       [1.0, 1.0, -1.0])
@@ -158,7 +158,7 @@ def test_network_goal_queries_net_on_normalized_measurements():
 
 def test_parse_goal_spec_variants(tmp_path):
     assert isinstance(parse_goal_spec("hardcoded"), HardcodedGoal)
-    assert isinstance(parse_goal_spec("defensive"), DefensiveGoal)
+    assert parse_goal_spec("defensive") == StaticGoal((1.0, 1.0, -1.0))
     static = parse_goal_spec("static:0.1,0.2,-0.3")
     assert isinstance(static, StaticGoal)
     assert static.goal == (0.1, 0.2, -0.3)
@@ -200,8 +200,7 @@ def test_run_episode_record_consistency():
     net = PredictorNet(327, rng=np.random.default_rng(0))
     record = run_episode(env, 4, net, StaticGoal(), collect_trace=True)
     assert record.steps == len(record.trace)
-    assert record.goal_steps == record.steps
-    assert record.kills == record.final_measurements.kills
+    assert record.kills == env.kills
     assert record.died == (not env.alive)
     np.testing.assert_allclose(record.goal_sum / record.steps, [0.5, 0.5, 1.0])
     # trace rows carry (step, action name, ammo, health, kills, x, y)
@@ -213,11 +212,12 @@ def test_run_episode_record_consistency():
 def test_run_episode_deterministic():
     scenario = make_scenario(episode_length=40)
     net = PredictorNet(327, rng=np.random.default_rng(1))
-    records = []
+    records, final_measurements = [], []
     for _ in range(2):
         env = GridBattleEnv(scenario)
         records.append(run_episode(env, 9, net, HardcodedGoal()))
+        final_measurements.append(env.measurements)
     a, b = records
-    assert (a.kills, a.died, a.steps, a.final_measurements) == \
-        (b.kills, b.died, b.steps, b.final_measurements)
+    assert (a.kills, a.died, a.steps) == (b.kills, b.died, b.steps)
+    assert final_measurements[0] == final_measurements[1]
     np.testing.assert_array_equal(a.goal_sum, b.goal_sum)

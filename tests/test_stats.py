@@ -1,13 +1,11 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goalevo.stats import (SampleSet, compare_sample_sets, mann_whitney_u,
-                           summarize)
+from goalevo.stats import SampleSet, compare_sample_sets, mann_whitney_u
 
 
 def brute_force_exact(x, y, alternative="two-sided"):
@@ -142,32 +140,7 @@ def test_tie_corrected_variance_against_scipy():
     assert p == pytest.approx(ref.pvalue, rel=1e-6)
 
 
-# -- summarize -------------------------------------------------------------------
-
-
-def test_summarize_single_value():
-    assert summarize([5.0]) == (5.0, 0.0, 1)
-
-
-def test_summarize_two_values():
-    assert summarize([0.0, 10.0]) == (5.0, 5.0, 2)
-
-
-def test_summarize_matches_independent_recomputation():
-    rng = np.random.default_rng(12)
-    values = list(rng.normal(3.0, 2.5, size=57))
-    mean, se, n = summarize(values)
-    # independent recomputation from first principles
-    m = sum(values) / len(values)
-    var = sum((v - m) ** 2 for v in values) / (len(values) - 1)
-    assert mean == pytest.approx(m, abs=1e-12)
-    assert se == pytest.approx(math.sqrt(var / len(values)), abs=1e-12)
-    assert n == 57
-
-
-def test_summarize_empty_rejected():
-    with pytest.raises(ValueError):
-        summarize([])
+# -- sample sets and report rows ---------------------------------------------------
 
 
 def test_sample_set_requires_values():

@@ -1,0 +1,87 @@
+"""Print the SHA-256 of every artifact a fixed set of goalevo commands writes.
+
+Run from the root of a checkout:
+
+    python3 tools/artifact_hashes.py
+
+Each command runs in a fresh process on the checkout's own ``src``, with
+inputs named by paths relative to the checkout and outputs in a temporary
+directory. The output is one ``sha256  artifact`` line per file, manifests
+included, so two checkouts that must write identical artifacts can be
+compared with ``diff``. The commands cover every CSV the program writes,
+the model file, the genome file, and goal networks with hidden nodes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEED = 3
+PREDICTOR = "bench/inputs/predictor.model"
+GENOME = "bench/inputs/genome_original.txt"
+
+# (output directory, command, config text)
+RUNS = (
+    ("train", "train-predictor",
+     "predictor.training_episodes = 6\n"
+     "predictor.train_interval = 3\n"),
+    ("evolve_hard", "evolve",
+     "scenario.preset_name = hard\n"
+     f"predictor_path = {PREDICTOR}\n"
+     "evolution.population_size = 20\n"
+     "evolution.generations = 5\n"
+     "evolution.episodes_per_eval = 8\n"
+     "evolution.n_workers = 2\n"),
+    ("evolve_original_hidden", "evolve",
+     "scenario.preset_name = original\n"
+     f"predictor_path = {PREDICTOR}\n"
+     "evolution.population_size = 16\n"
+     "evolution.generations = 12\n"
+     "evolution.episodes_per_eval = 2\n"
+     "evolution.add_node_rate = 0.5\n"
+     "evolution.add_connection_rate = 0.5\n"),
+    ("evaluate", "evaluate",
+     "scenario.preset_name = original\n"
+     f"predictor_path = {PREDICTOR}\n"
+     f"providers = static:0.5,0.5,1.0 | hardcoded | defensive | "
+     f"evolved:{GENOME}\n"
+     "evaluation_episodes = 20\n"
+     "write_traces = true\n"),
+    ("sweep", "sweep", f"genome_path = {GENOME}\n"),
+)
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main() -> int:
+    root = Path.cwd()
+    if not (root / "src" / "goalevo" / "cli.py").exists():
+        print("error: run from the root of a goalevo checkout", file=sys.stderr)
+        return 1
+    env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, command, config_text in RUNS:
+            config = work / f"{name}.cfg"
+            config.write_text(config_text)
+            subprocess.run([sys.executable, "-m", "goalevo.cli", command,
+                            "--config", str(config), "--seed", str(SEED),
+                            "--out", str(work / name)],
+                           cwd=root, env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+        for name, _, _ in RUNS:
+            for path in sorted((work / name).iterdir()):
+                print(f"{_sha256(path)}  {name}/{path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
