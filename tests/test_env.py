@@ -493,3 +493,13 @@ def test_scenario_file_unknown_key_rejected(tmp_path):
     path.write_text("monster_speed = 3\n")
     with pytest.raises(ConfigError):
         scenario_from_overrides(parse_kv_file(path))
+
+
+def test_trace_csv_layout(tmp_path):
+    from goalevo.cli import TRACE_HEADER, _write_csv
+    rows = [(0, "noop", 20, 100, 0, 5, 6), (1, "attack", 19, 100, 1, 5, 6)]
+    path = tmp_path / "trace.csv"
+    _write_csv(path, TRACE_HEADER, rows)
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "step,action,ammo,health,kills,agent_x,agent_y"
+    assert lines[1] == "0,noop,20,100,0,5,6"
