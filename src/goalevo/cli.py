@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, goal_net, neat, policy, predictor, stats
-from .configio import ConfigError, apply_overrides, parse_bool, parse_kv_file
+from .configio import ConfigError, apply_overrides, coerce_value, parse_kv_file
 from .env import (GridBattleEnv, Measurements, episode_fitness,
                   normalize_measurements, scenario_from_overrides)
 
@@ -58,7 +58,7 @@ def _parse_horizon_weights(config: dict[str, str], n_offsets: int):
     raw = config.get("horizon_weights")
     if raw is None:
         return None
-    weights = tuple(float(p) for p in raw.split(","))
+    weights = coerce_value("horizon_weights", raw, "tuple[float, ...]")
     if len(weights) != n_offsets:
         raise ConfigError(f"horizon_weights has {len(weights)} values, but the "
                           f"predictor has {n_offsets} temporal offsets")
@@ -221,11 +221,12 @@ def cmd_evaluate(config: dict[str, str], seed: int, out: str) -> int:
     """Evaluate each goal provider over shared episode seeds and report all
     pairwise rank tests."""
     scenario = _scenario_from_config(config)
-    episodes = int(config.get("evaluation_episodes",
-                              DEFAULT_EVALUATION_EPISODES))
+    episodes = coerce_value("evaluation_episodes", config.get(
+        "evaluation_episodes", str(DEFAULT_EVALUATION_EPISODES)), "int")
     if episodes < 1:
         raise ConfigError("evaluation_episodes must be >= 1")
-    write_traces = parse_bool(config.get("write_traces", "false"))
+    write_traces = coerce_value("write_traces",
+                                config.get("write_traces", "false"), "bool")
     model_path = _require_model(config)
     net, _ = predictor.load_predictor(model_path)
     horizon = _parse_horizon_weights(config, net.n_offsets)

@@ -40,21 +40,24 @@ def parse_bool(value: str) -> bool:
     raise ConfigError(f"not a boolean: {value!r}")
 
 
-def coerce_value(value: str, typ: str) -> object:
-    """Coerce a config string to a dataclass field type. Config dataclasses
-    live in modules with postponed annotations, so ``typ`` is the field's
-    annotation as a string."""
-    if typ == "bool":
-        return parse_bool(value)
-    if typ == "int":
-        return int(value)
-    if typ == "float":
-        return float(value)
-    if typ == "str":
-        return value
-    if typ.startswith("tuple[int"):
-        return tuple(int(p) for p in value.split(",") if p.strip())
-    raise ConfigError(f"unsupported config field type {typ!r}")
+_PARSERS = {"bool": parse_bool, "int": int, "float": float, "str": str}
+
+
+def coerce_value(key: str, value: str, typ: str) -> object:
+    """Coerce the config string ``value`` of ``key`` to a field type. Config
+    dataclasses live in modules with postponed annotations, so ``typ`` is an
+    annotation string: a scalar name or ``tuple[<scalar>, ...]``. A value
+    that does not parse raises ConfigError naming the key and the value."""
+    scalar = typ.removeprefix("tuple[").removesuffix(", ...]")
+    if scalar not in _PARSERS:
+        raise ConfigError(f"unsupported config field type {typ!r}")
+    parse = _PARSERS[scalar]
+    try:
+        if scalar == typ:
+            return parse(value)
+        return tuple(parse(p) for p in value.split(",") if p.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
 
 
 def apply_overrides(instance, overrides: dict[str, str]):
@@ -69,10 +72,5 @@ def apply_overrides(instance, overrides: dict[str, str]):
             raise ConfigError(
                 f"unknown config key {key!r} for {type(instance).__name__}"
             )
-        try:
-            updates[key] = coerce_value(value, field_types[key])
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
+        updates[key] = coerce_value(key, value, field_types[key])
     return dataclasses.replace(instance, **updates)

@@ -7,7 +7,9 @@ resources and the death penalty while keeping the world rules identical.
 
 All randomness flows through one per-episode generator owned by the
 environment instance, so (config, seed, action sequence) fully determines a
-trajectory. Instances share no state and can run in parallel freely.
+trajectory. The world that ``reset`` builds depends only on (config, seed),
+so it is built once per process and cached; instances share those read-only
+initial worlds and nothing else, and can run in parallel freely.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .configio import ConfigError, apply_overrides
 
@@ -51,6 +52,10 @@ DEFAULT_OBS_RADIUS = 4
 MONSTER_ADVANCE_PROB = 0.5
 MONSTER_AGGRO_RADIUS = 6  # monsters only home within this Chebyshev range
 RESPAWN_MIN_DIST = 6  # Chebyshev distance from agent for monster respawns
+# Initial worlds cached per process. Every evaluate provider replays the same
+# episode seeds (20 by default) and every genome of an evolve generation the
+# same 8, so resets hit the cache while the bound holds one run's seeds.
+WORLD_CACHE_SIZE = 64
 
 ITEM_AMMO = "ammo"
 ITEM_HEALTH = "health"
@@ -215,16 +220,66 @@ def _generate_walls(width: int, height: int,
             rr, cc = r + dr * k, c + dc * k
             if 1 <= rr < height - 1 and 1 <= cc < width - 1:
                 walls[rr, cc] = True
-    free = ~walls
-    labels, n_regions = ndimage.label(
-        free, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    if n_regions == 0:
+    # Keep the largest 4-connected free region; on a size tie, the one whose
+    # first cell comes first in raster order. The border is wall, so a free
+    # cell's four neighbours are always inside the grid.
+    free = (~walls).ravel().tolist()
+    keep: list[int] = []
+    for start, is_free in enumerate(free):
+        if not is_free:
+            continue
+        free[start] = False
+        region = [start]
+        for i in region:  # grows while it is walked
+            for j in (i - width, i - 1, i + 1, i + width):
+                if free[j]:
+                    free[j] = False
+                    region.append(j)
+        if len(region) > len(keep):
+            keep = region
+    if not keep:
         raise ConfigError("wall layout left no free cells")
-    if n_regions > 1:
-        sizes = np.bincount(labels.ravel())[1:]
-        keep = int(np.argmax(sizes)) + 1
-        walls |= labels != keep
-    return walls
+    walls = np.ones(height * width, dtype=bool)
+    walls[keep] = False
+    return walls.reshape(height, width)
+
+
+@functools.lru_cache(maxsize=WORLD_CACHE_SIZE)
+def _initial_world(cfg: ScenarioConfig, seed: int):
+    """The world ``reset(seed)`` starts from: read-only walls and free cells,
+    the agent's (row, col, heading), the monster cells, the (row, col, kind)
+    of each item, and the generator state after placement. Cached at module
+    level because ``neat.evaluate`` builds a new env for every genome."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence((cfg.wall_layout_seed, seed)))
+    walls = _generate_walls(cfg.grid_width, cfg.grid_height, rng)
+    free_cells = np.argwhere(~walls)
+    needed = 1 + cfg.n_monsters + cfg.n_ammo_packs + cfg.n_health_kits
+    if needed > len(free_cells):
+        raise ConfigError(
+            f"{needed} entities do not fit in {len(free_cells)} free cells")
+    order = rng.permutation(len(free_cells))
+    cells = [tuple(c) for c in free_cells[order].tolist()]
+    agent_row, agent_col = cells[0]
+    heading = int(rng.integers(4))
+    # monsters prefer cells away from the spawn so episodes don't open
+    # with an unavoidable beating; items go anywhere
+    remaining = cells[1:]
+    far, near = [], []
+    for c in remaining:
+        if max(abs(c[0] - agent_row),
+               abs(c[1] - agent_col)) >= RESPAWN_MIN_DIST:
+            far.append(c)
+        else:
+            near.append(c)
+    monster_cells = (far + near)[:cfg.n_monsters]
+    used = set(monster_cells)
+    item_cells = [c for c in remaining if c not in used]
+    kinds = [ITEM_AMMO] * cfg.n_ammo_packs + [ITEM_HEALTH] * cfg.n_health_kits
+    items = tuple((r, c, kind) for (r, c), kind in zip(item_cells, kinds))
+    walls.flags.writeable = free_cells.flags.writeable = False
+    return (walls, free_cells, (agent_row, agent_col, heading),
+            tuple(monster_cells), items, rng.bit_generator.state)
 
 
 @functools.cache
@@ -276,40 +331,15 @@ class GridBattleEnv:
 
     def reset(self, seed: int) -> Measurements:
         cfg = self.config
-        self.rng = np.random.default_rng(
-            np.random.SeedSequence((cfg.wall_layout_seed, int(seed))))
-        self.walls = _generate_walls(cfg.grid_width, cfg.grid_height, self.rng)
-        self._free_cells = np.argwhere(~self.walls)
-
-        needed = 1 + cfg.n_monsters + cfg.n_ammo_packs + cfg.n_health_kits
-        if needed > len(self._free_cells):
-            raise ConfigError(
-                f"{needed} entities do not fit in {len(self._free_cells)} free cells")
-        order = self.rng.permutation(len(self._free_cells))
-        cells = [tuple(c) for c in self._free_cells[order].tolist()]
-
-        self.agent_row, self.agent_col = cells[0]
-        self.heading = int(self.rng.integers(4))
-        # monsters prefer cells away from the spawn so episodes don't open
-        # with an unavoidable beating; items go anywhere
-        remaining = cells[1:]
-        far, near = [], []
-        for c in remaining:
-            if max(abs(c[0] - self.agent_row),
-                   abs(c[1] - self.agent_col)) >= RESPAWN_MIN_DIST:
-                far.append(c)
-            else:
-                near.append(c)
-        monster_cells = (far + near)[:cfg.n_monsters]
-        used = set(monster_cells)
-        item_cells = [c for c in remaining if c not in used]
+        walls, self._free_cells, agent, monster_cells, items, rng_state = \
+            _initial_world(cfg, int(seed))
+        self.walls = walls.copy()
+        self.agent_row, self.agent_col, self.heading = agent
         self.monsters = [Monster(r, c, cfg.monster_health)
                          for r, c in monster_cells]
-        self.items = [Item(r, c, ITEM_AMMO)
-                      for r, c in item_cells[:cfg.n_ammo_packs]]
-        self.items += [Item(r, c, ITEM_HEALTH)
-                       for r, c in item_cells[cfg.n_ammo_packs:
-                                              cfg.n_ammo_packs + cfg.n_health_kits]]
+        self.items = [Item(r, c, kind) for r, c, kind in items]
+        self.rng = np.random.default_rng()
+        self.rng.bit_generator.state = rng_state
 
         self.ammo = cfg.initial_ammo
         self.health = cfg.initial_health

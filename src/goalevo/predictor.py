@@ -414,8 +414,11 @@ def load_predictor(path: str | Path):
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
-    header = json.loads(header_line)
-    if header.get("format") != MODEL_FORMAT:
+    try:
+        header = json.loads(header_line)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: model header is not JSON ({exc})") from None
+    if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a predictor model file")
     try:
         net = PredictorNet(

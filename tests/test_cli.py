@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -345,6 +346,18 @@ def test_console_entry_point_help():
     assert "train-predictor" in proc.stdout
 
 
+def test_the_program_imports_without_scipy():
+    """scipy is a test oracle only; importing it costs every command more
+    than its own start-up."""
+    code = ("import sys, goalevo.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scenario.monster_speed = 3\n")
@@ -400,6 +413,28 @@ def test_horizon_weights_must_match_the_offset_count(tmp_path, capsys,
     assert "horizon_weights" in error
 
 
+@pytest.mark.parametrize("command, line, key", [
+    ("evaluate", "evaluation_episodes = x", "evaluation_episodes"),
+    ("evaluate", "evaluation_episodes = 2.5", "evaluation_episodes"),
+    ("evaluate", "write_traces = maybe", "write_traces"),
+    ("evaluate", "horizon_weights = a,b", "horizon_weights"),
+    ("evolve", "horizon_weights = 1,b", "horizon_weights"),
+    ("train-predictor", "horizon_weights = a,b", "horizon_weights"),
+    ("train-predictor", "predictor.batch_size = many", "batch_size"),
+])
+def test_values_that_do_not_parse_name_their_key(tmp_path, capsys,
+                                                 trained_model, command,
+                                                 line, key):
+    config = {
+        "train-predictor": TINY_PREDICTOR,
+        "evolve": evolve_config(trained_model),
+        "evaluate": TINY_SCENARIO + f"predictor_path = {trained_model}\n"
+                    "providers = hardcoded\n",
+    }[command]
+    error = fails_before_work(tmp_path, capsys, command, config + line + "\n")
+    assert repr(key) in error and repr(line.split(" = ")[1]) in error
+
+
 def test_evaluate_accepts_horizon_weights_of_the_offset_count(tmp_path,
                                                               trained_model):
     cfg = tmp_path / "eval.cfg"
@@ -414,7 +449,9 @@ def test_evaluate_accepts_horizon_weights_of_the_offset_count(tmp_path,
 
 
 @pytest.mark.parametrize("damage", ["header lacks obs_dim", "truncated",
-                                    "trailing bytes", "one array too few"])
+                                    "trailing bytes", "one array too few",
+                                    "binary header", "header is not JSON",
+                                    "header is a JSON list"])
 def test_evaluate_rejects_a_damaged_model_file(tmp_path, capsys,
                                                trained_model, damage):
     header, payload = trained_model.read_bytes().split(b"\n", 1)
@@ -425,10 +462,16 @@ def test_evaluate_rejects_a_damaged_model_file(tmp_path, capsys,
         payload = payload[:-8]
     elif damage == "trailing bytes":
         payload += bytes(8)
-    else:  # the last layer's bias is listed nowhere and stored nowhere
+    elif damage == "one array too few":  # the last bias is nowhere
         bias = fields["arrays"].pop()
         payload = payload[:-8 * bias["shape"][0]]
     header = json.dumps(fields).encode()
+    if damage == "binary header":  # json guesses UTF-16 and cannot decode
+        header = b"\x00\xd8" + bytes(range(11, 256))
+    elif damage == "header is not JSON":
+        header = b"goalevo predictor"
+    elif damage == "header is a JSON list":
+        header = b"[1, 2]"
     model = tmp_path / "damaged.model"
     model.write_bytes(header + b"\n" + payload)
     error = fails_before_work(tmp_path, capsys, "evaluate",

@@ -136,6 +136,106 @@ def test_trajectory_determinism():
     assert snaps[0] == snaps[1]
 
 
+def _oracle_walls(width, height, rng):
+    """The wall rule restated with scipy: the same segments, then every free
+    region but the largest labelled one (the first on a tie) becomes wall.
+    Also returns the region count and whether the largest size was tied."""
+    from scipy import ndimage
+
+    walls = np.zeros((height, width), dtype=bool)
+    walls[[0, -1], :] = walls[:, [0, -1]] = True
+    for _ in range((height - 2) * (width - 2) // 48):
+        r = int(rng.integers(1, height - 1))
+        c = int(rng.integers(1, width - 1))
+        length = int(rng.integers(3, 9))
+        dr, dc = ((0, 1), (1, 0))[int(rng.integers(2))]
+        for k in range(length):
+            rr, cc = r + dr * k, c + dc * k
+            if 0 < rr < height - 1 and 0 < cc < width - 1:
+                walls[rr, cc] = True
+    labels, n = ndimage.label(~walls)  # the default structure is 4-connected
+    sizes = np.bincount(labels.ravel())[1:]
+    keep = int(np.argmax(sizes)) + 1
+    return labels != keep, n, int((sizes == sizes.max()).sum()) > 1
+
+
+def test_wall_fill_matches_scipy_label_and_argmax():
+    kinds = collections.Counter()
+    for height, width in ((9, 9), (10, 11), (12, 12), (16, 24), (32, 32)):
+        for seed in range(400):
+            rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+            walls = env_mod._generate_walls(width, height, rng)
+            expected, n_regions, tied = _oracle_walls(width, height, oracle_rng)
+            assert np.array_equal(walls, expected), (height, width, seed)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            kinds["layouts"] += 1
+            kinds["several regions"] += n_regions > 1
+            kinds["tied largest"] += tied
+    assert kinds["layouts"] == 2000
+    assert kinds["several regions"] >= 100 and kinds["tied largest"] >= 1, kinds
+
+
+def test_wall_layout_without_free_cells_is_a_config_error():
+    class Scripted:  # one 60-cell segment along the only interior row
+        draws = iter([1, 1, 60, 0])
+
+        def integers(self, low, high=None):
+            return next(self.draws)
+
+    with pytest.raises(ConfigError, match="no free cells"):
+        env_mod._generate_walls(50, 3, Scripted())
+
+
+# -- the per-process world cache --------------------------------------------
+
+
+def test_reset_after_in_place_edits_matches_a_fresh_env():
+    cfg = original_scenario()
+    edited = GridBattleEnv(cfg)
+    edited.reset(8)
+    edited.walls[:, :] = False
+    edited._free_cells = np.argwhere(~edited.walls)
+    edited.monsters[0].row, edited.monsters[0].health = 1, 0
+    edited.monsters.pop()
+    edited.items[0].respawn_timer = 7
+    edited.items.append(env_mod.Item(1, 1, env_mod.ITEM_AMMO))
+    edited.agent_row, edited.heading = 1, 3
+    edited.rng.random(5)
+    other = GridBattleEnv(cfg)
+    edited.reset(8)
+    other.reset(8)
+    env_mod._initial_world.cache_clear()
+    fresh = GridBattleEnv(cfg)
+    fresh.reset(8)
+    assert edited.state_snapshot() == other.state_snapshot() \
+        == fresh.state_snapshot()
+
+
+def test_cached_world_arrays_are_read_only():
+    walls, free_cells, *_ = env_mod._initial_world(original_scenario(), 4)
+    with pytest.raises(ValueError):
+        walls[1, 1] = True
+    with pytest.raises(ValueError):
+        free_cells[0, 0] = 0
+    env = GridBattleEnv(original_scenario())
+    env.reset(4)
+    env.walls[1, 1] = True  # each env edits its own copy of the walls
+    assert env.walls is not walls and env._free_cells is free_cells
+
+
+def test_configs_that_differ_in_any_field_never_share_a_world():
+    base = original_scenario()
+    configs = [base, dataclasses.replace(base, preset_name="custom"),
+               dataclasses.replace(base, wall_layout_seed=1)]
+    env_mod._initial_world.cache_clear()
+    worlds = [env_mod._initial_world(cfg, 5) for cfg in configs]
+    assert env_mod._initial_world.cache_info().misses == 3
+    assert len({id(world) for world in worlds}) == 3
+    assert worlds[0][0].tobytes() != worlds[2][0].tobytes()
+    assert env_mod._initial_world(base, 5) is worlds[0]
+    assert env_mod._initial_world.cache_info().hits == 1
+
+
 # -- step mechanics --------------------------------------------------------------
 
 
