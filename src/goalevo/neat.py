@@ -541,9 +541,8 @@ def evolve(config: EvolutionConfig, predictor, scenario: ScenarioConfig,
                   initargs=(predictor, scenario, config.episodes_per_eval,
                             horizon_weights)) as pool:
         def eval_map(genomes, gen_seed):
-            chunk = max(1, len(genomes) // (workers * 4))
             return pool.map(_worker_eval, [(g, gen_seed) for g in genomes],
-                            chunksize=chunk)
+                            chunksize=1)
 
         return evolve_against(config, fitness_fn, seed, eval_map=eval_map,
                               progress=progress)

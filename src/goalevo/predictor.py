@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -126,22 +126,30 @@ class PredictorNet:
 
 
 @dataclass
-class ExperienceSample:
-    """One training tuple. Targets are measurement deltas divided by the
-    shared normalization scales (no clipping, unlike observation levels);
-    offsets that overrun the episode end are masked out of the loss."""
+class Experience:
+    """Training rows, one per agent step, stacked field by field. Targets are
+    measurement deltas divided by the shared normalization scales (no
+    clipping, unlike observation levels); offsets that overrun the episode
+    end are masked out of the loss."""
 
-    obs: np.ndarray          # float32 observation vector
-    m_norm: np.ndarray       # (3,) normalized measurements at t
-    goal: np.ndarray         # (3,) goal vector held for the episode
-    action: int
-    targets: np.ndarray      # (K, 3) scaled deltas, zeros where masked
-    mask: np.ndarray         # (K,) bool, True where the offset fits the episode
+    obs: np.ndarray          # (N, D) float32 observation vectors
+    m_norm: np.ndarray       # (N, 3) normalized measurements at t
+    goal: np.ndarray         # (N, 3) goal vector held for the episode
+    action: np.ndarray       # (N,) int
+    targets: np.ndarray      # (N, K, 3) scaled deltas, zeros where masked
+    mask: np.ndarray         # (N, K) bool, True where the offset fits the episode
+
+    def __len__(self) -> int:
+        return len(self.action)
+
+    def __getitem__(self, rows) -> Experience:
+        """The rows selected by a slice or an index array."""
+        return Experience(*(a[rows] for a in vars(self).values()))
 
 
 def episode_to_samples(observations, measurements, goal, actions,
-                       offsets) -> list[ExperienceSample]:
-    """Turn one finished episode into training samples.
+                       offsets) -> Experience:
+    """Turn one finished episode into training rows.
 
     ``measurements`` holds the raw (ammo, health, kills) arrays and has one
     more entry than ``observations``/``actions`` (the values after the final
@@ -152,80 +160,70 @@ def episode_to_samples(observations, measurements, goal, actions,
     if len(measurements) != horizon + 1:
         raise ValueError(
             "need final measurements: len(measurements) == len(actions)+1")
-    offsets = tuple(offsets)
-    goal = np.asarray(goal, dtype=float)
-    raw = [np.asarray(m, dtype=float) for m in measurements]
-    samples = []
-    for t in range(horizon):
-        targets = np.zeros((len(offsets), N_MEASUREMENTS))
-        mask = np.zeros(len(offsets), dtype=bool)
-        for k, tau in enumerate(offsets):
-            if t + tau <= horizon:
-                targets[k] = (raw[t + tau] - raw[t]) / MEASUREMENT_SCALES
-                mask[k] = True
-        samples.append(ExperienceSample(
-            obs=np.asarray(observations[t], dtype=np.float32),
-            m_norm=np.clip(raw[t] / MEASUREMENT_SCALES, 0.0, 1.0),
-            goal=goal,
-            action=int(actions[t]),
-            targets=targets,
-            mask=mask,
-        ))
-    return samples
+    raw = np.asarray(measurements, dtype=float)
+    targets = np.zeros((horizon, len(offsets), N_MEASUREMENTS))
+    mask = np.zeros((horizon, len(offsets)), dtype=bool)
+    for k, tau in enumerate(offsets):
+        fit = max(0, horizon + 1 - tau)  # steps t with t + tau <= horizon
+        targets[:fit, k] = (raw[tau:] - raw[:fit]) / MEASUREMENT_SCALES
+        mask[:fit, k] = True
+    return Experience(
+        obs=np.asarray(observations, dtype=np.float32),
+        m_norm=np.clip(raw[:-1] / MEASUREMENT_SCALES, 0.0, 1.0),
+        goal=np.tile(np.asarray(goal, dtype=float), (horizon, 1)),
+        action=np.asarray(actions, dtype=int),
+        targets=targets,
+        mask=mask,
+    )
 
 
 class ReplayBuffer:
-    """Uniform-sampling ring buffer."""
+    """Uniform-sampling ring of experience rows, one preallocated array per
+    field, allocated on the first ``extend`` once the row shapes are known."""
 
     def __init__(self, capacity: int):
         self.capacity = int(capacity)
-        self._items: list[ExperienceSample] = []
-        self._next = 0
+        self._rows: Experience | None = None
+        self._added = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return min(self.capacity, self._added)
 
-    def append(self, sample: ExperienceSample) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(sample)
-        else:
-            self._items[self._next] = sample
-        self._next = (self._next + 1) % self.capacity
+    def extend(self, rows: Experience) -> None:
+        """Append rows in order, overwriting the oldest once full."""
+        if self._rows is None:
+            self._rows = Experience(*(
+                np.empty((self.capacity, *a.shape[1:]), dtype=a.dtype)
+                for a in vars(rows).values()))
+        n = len(rows)
+        kept = min(n, self.capacity)  # earlier rows would be overwritten
+        slots = (self._added + np.arange(n - kept, n)) % self.capacity
+        for ring, new in zip(vars(self._rows).values(), vars(rows).values()):
+            ring[slots] = new[n - kept:]
+        self._added += n
 
-    def extend(self, samples) -> None:
-        for s in samples:
-            self.append(s)
-
-    def sample(self, rng: np.random.Generator,
-               batch_size: int) -> list[ExperienceSample]:
-        idx = rng.integers(len(self._items), size=batch_size)
-        return [self._items[i] for i in idx]
+    def sample(self, rng: np.random.Generator, batch_size: int) -> Experience:
+        return self._rows[rng.integers(len(self), size=batch_size)]
 
 
 # -- loss and training --------------------------------------------------------
 
 
-def _assemble(net: PredictorNet, batch):
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    x = np.empty((len(batch), net.input_dim))
-    actions = np.empty(len(batch), dtype=int)
-    targets = np.empty((len(batch), net.n_offsets, N_MEASUREMENTS))
-    mask = np.empty((len(batch), net.n_offsets), dtype=bool)
-    for i, s in enumerate(batch):
-        x[i, :net.obs_dim] = s.obs
-        x[i, net.obs_dim:net.obs_dim + 3] = s.m_norm
-        x[i, net.obs_dim + 3:] = s.goal
-        actions[i] = s.action
-        targets[i] = s.targets
-        mask[i] = s.mask
-    return x, actions, targets, mask
+def _stack(samples) -> Experience:
+    """One row per object, from its attributes named like Experience fields."""
+    return Experience(*(np.array([getattr(s, f.name) for s in samples])
+                        for f in fields(Experience)))
 
 
 def _loss(net: PredictorNet, batch, need_grads: bool):
-    """Batched forward pass, loss and, if asked, the backward pass."""
-    x, actions, targets, mask = _assemble(net, batch)
-    n_valid = int(mask.sum()) * N_MEASUREMENTS
+    """Batched forward pass, loss and, if asked, the backward pass, on an
+    Experience or a sequence of per-sample objects."""
+    if len(batch) == 0:
+        raise ValueError("empty batch")
+    if not isinstance(batch, Experience):
+        batch = _stack(batch)
+    x = np.concatenate([batch.obs, batch.m_norm, batch.goal], axis=1)
+    n_valid = int(batch.mask.sum()) * N_MEASUREMENTS
     if n_valid == 0:
         raise ValueError("batch has no valid targets (all offsets masked)")
 
@@ -238,14 +236,14 @@ def _loss(net: PredictorNet, batch, need_grads: bool):
     out = acts[-1] @ net.weights[-1].T + net.biases[-1]
     preds = out.reshape(len(batch), net.n_actions, net.n_offsets, N_MEASUREMENTS)
     rows = np.arange(len(batch))
-    taken = preds[rows, actions]                       # (B, K, 3)
-    err = (taken - targets) * mask[:, :, None]
+    taken = preds[rows, batch.action]                  # (B, K, 3)
+    err = (taken - batch.targets) * batch.mask[:, :, None]
     loss = float(np.sum(err * err) / n_valid)
     if not need_grads:
         return loss, None, None
 
     d_out = np.zeros_like(preds)
-    d_out[rows, actions] = 2.0 * err / n_valid
+    d_out[rows, batch.action] = 2.0 * err / n_valid
     delta = d_out.reshape(len(batch), net.output_dim)
 
     grads_w = [None] * len(net.weights)

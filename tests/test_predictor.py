@@ -1,5 +1,6 @@
 import copy
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from goalevo import predictor as pred_mod
 from goalevo.configio import ConfigError
 from goalevo.env import GridBattleEnv, Measurements, observation_size
-from goalevo.predictor import (ExperienceSample, PredictorConfig, PredictorNet,
+from goalevo.predictor import (Experience, PredictorConfig, PredictorNet,
                                ReplayBuffer, batch_loss, collect_and_train,
                                episode_to_samples, epsilon_at, gradients,
                                load_predictor, save_predictor, train_step)
@@ -24,12 +25,14 @@ def tiny_net(obs_dim=2, offsets=(1, 2), hidden=(4,), n_actions=3, seed=0,
 
 
 def random_sample(net, rng, mask=None):
+    """One per-sample object, the batch element gradients and batch_loss
+    accept besides an Experience."""
     k = net.n_offsets
     if mask is None:
         mask = rng.random(k) < 0.8
         if not mask.any():
             mask[0] = True
-    return ExperienceSample(
+    return SimpleNamespace(
         obs=rng.normal(size=net.obs_dim).astype(np.float32),
         m_norm=rng.uniform(0, 1, 3),
         goal=rng.uniform(-1, 1, 3),
@@ -211,7 +214,7 @@ def test_training_memorizes_small_fixed_batch():
 def test_episode_to_samples_masks_offsets_over_episode_end():
     from goalevo.env import MEASUREMENT_SCALES
 
-    offsets = (1, 2, 4)
+    offsets = (1, 2, 4, 8)  # 8 overruns the whole episode
     horizon = 5
     raw = [np.array([4.0 * t, 100.0 - 2 * t, float(t)])
            for t in range(horizon + 1)]
@@ -220,17 +223,18 @@ def test_episode_to_samples_masks_offsets_over_episode_end():
     samples = episode_to_samples(observations, raw, np.zeros(3), actions,
                                  offsets)
     assert len(samples) == horizon
-    for t, s in enumerate(samples):
+    for t in range(horizon):
         expected_mask = [t + tau <= horizon for tau in offsets]
-        assert list(s.mask) == expected_mask
+        assert list(samples.mask[t]) == expected_mask
         np.testing.assert_allclose(
-            s.m_norm, np.clip(raw[t] / MEASUREMENT_SCALES, 0.0, 1.0))
+            samples.m_norm[t], np.clip(raw[t] / MEASUREMENT_SCALES, 0.0, 1.0))
         for k, tau in enumerate(offsets):
             if expected_mask[k]:
                 np.testing.assert_allclose(
-                    s.targets[k], (raw[t + tau] - raw[t]) / MEASUREMENT_SCALES)
+                    samples.targets[t, k],
+                    (raw[t + tau] - raw[t]) / MEASUREMENT_SCALES)
             else:
-                np.testing.assert_array_equal(s.targets[k], 0.0)
+                np.testing.assert_array_equal(samples.targets[t, k], 0.0)
 
 
 def test_episode_to_samples_targets_not_clipped():
@@ -239,9 +243,10 @@ def test_episode_to_samples_targets_not_clipped():
     # a jump from 35 to 60 ammo exceeds the observation clip point (40) but
     # the target keeps the full scaled delta
     raw = [np.array([35.0, 100.0, 0.0]), np.array([60.0, 100.0, 0.0])]
-    sample = episode_to_samples([np.zeros(2)], raw, np.zeros(3), [0], (1,))[0]
-    assert sample.targets[0][0] == pytest.approx(25.0 / MEASUREMENT_SCALES[0])
-    assert sample.m_norm[0] == pytest.approx(35.0 / MEASUREMENT_SCALES[0])
+    samples = episode_to_samples([np.zeros(2)], raw, np.zeros(3), [0], (1,))
+    assert samples.targets[0, 0, 0] == pytest.approx(
+        25.0 / MEASUREMENT_SCALES[0])
+    assert samples.m_norm[0, 0] == pytest.approx(35.0 / MEASUREMENT_SCALES[0])
 
 
 def test_episode_to_samples_requires_final_measurements():
@@ -249,15 +254,53 @@ def test_episode_to_samples_requires_final_measurements():
         episode_to_samples([np.zeros(2)], [np.zeros(3)], np.zeros(3), [0], (1,))
 
 
+def random_episode(net, rng, horizon):
+    return episode_to_samples(
+        rng.normal(size=(horizon, net.obs_dim)),
+        rng.uniform(0.0, 60.0, size=(horizon + 1, 3)),
+        rng.uniform(-1, 1, 3), rng.integers(net.n_actions, size=horizon),
+        net.offsets)
+
+
+def row_set(rows):
+    return {tuple(a[i].tobytes() for a in vars(rows).values())
+            for i in range(len(rows))}
+
+
 def test_replay_buffer_ring_overwrite():
     buf = ReplayBuffer(capacity=3)
     net = tiny_net()
     rng = np.random.default_rng(0)
-    samples = [random_sample(net, rng) for _ in range(5)]
+    samples = random_episode(net, rng, 5)
     buf.extend(samples)
     assert len(buf) == 3
-    stored = {id(s) for s in buf._items}
-    assert stored == {id(s) for s in samples[2:]}
+    assert row_set(buf._rows) == row_set(samples[2:])
+
+
+def test_replay_buffer_matches_a_list_ring():
+    capacity = 7
+    net = tiny_net()
+    rng = np.random.default_rng(1)
+    buf = ReplayBuffer(capacity)
+    ring, position = [], 0
+    # the second episode wraps the ring, the fourth is longer than it
+    for horizon in (3, 5, 2, 9, 4):
+        rows = random_episode(net, rng, horizon)
+        buf.extend(rows)
+        for i in range(horizon):
+            row = [a[i] for a in vars(rows).values()]
+            if len(ring) < capacity:
+                ring.append(row)
+            else:
+                ring[position] = row
+            position = (position + 1) % capacity
+        assert len(buf) == len(ring)
+        batch = buf.sample(np.random.default_rng(horizon), 10)
+        picked = np.random.default_rng(horizon).integers(len(ring), size=10)
+        for k, got in enumerate(vars(batch).values()):
+            want = np.array([ring[i][k] for i in picked])
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 def test_epsilon_schedule_endpoints():
@@ -317,7 +360,7 @@ def test_training_halves_held_out_loss():
     # frozen held-out batch from an independent random rollout
     env = GridBattleEnv(scenario)
     rng = np.random.default_rng(99)
-    held = []
+    episodes = []
     for ep in range(4):
         env.reset(1000 + ep)
         obs_list, actions = [], []
@@ -329,9 +372,11 @@ def test_training_halves_held_out_loss():
             actions.append(a)
             m, done = env.step(a)
             m_raw.append(m.as_array())
-        held.extend(episode_to_samples(obs_list, m_raw,
-                                       rng.uniform(-1, 1, 3), actions, offsets))
-    held = held[:256]
+        episodes.append(episode_to_samples(obs_list, m_raw,
+                                           rng.uniform(-1, 1, 3), actions,
+                                           offsets))
+    held = Experience(*map(np.concatenate, zip(
+        *(vars(e).values() for e in episodes))))[:256]
 
     # the starting net collect_and_train builds for seed 5
     net = PredictorNet(observation_size(), offsets=offsets, hidden_sizes=(32,),

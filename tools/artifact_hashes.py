@@ -9,7 +9,8 @@ inputs named by paths relative to the checkout and outputs in a temporary
 directory. The output is one ``sha256  artifact`` line per file, manifests
 included, so two checkouts that must write identical artifacts can be
 compared with ``diff``. The commands cover every CSV the program writes,
-the model file, the genome file, and goal networks with hidden nodes.
+the model file, the genome file, goal networks with hidden nodes, and
+a training run whose replay ring wraps.
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ RUNS = (
     ("train", "train-predictor",
      "predictor.training_episodes = 6\n"
      "predictor.train_interval = 3\n"),
+    # a replay ring smaller than the steps played, so it wraps
+    ("train_wrap", "train-predictor",
+     "predictor.training_episodes = 5\n"
+     "predictor.train_interval = 4\n"
+     "predictor.replay_capacity = 700\n"
+     "predictor.batch_size = 32\n"),
     ("evolve_hard", "evolve",
      "scenario.preset_name = hard\n"
      f"predictor_path = {PREDICTOR}\n"
