@@ -19,6 +19,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, goal_net, neat, policy, predictor, stats
 from .configio import ConfigError, apply_overrides, coerce_value, parse_kv_file
 from .env import (GridBattleEnv, Measurements, episode_fitness,
@@ -236,11 +238,11 @@ def cmd_evaluate(config: dict[str, str], seed: int, out: str) -> int:
     # paired comparisons: every provider sees the same episode seeds
     episode_seeds = [seed + 1 + i for i in range(episodes)]
     env = GridBattleEnv(scenario)
-    sample_sets = []
+    fitness = {}  # provider label -> episode fitness values
     fitness_rows = []
     extra_outputs = []
     for label, spec, provider in providers:
-        values = []
+        values = fitness[label] = []
         for i, ep_seed in enumerate(episode_seeds):
             record = policy.run_episode(env, ep_seed, net, provider, horizon,
                                         collect_trace=write_traces and i == 0)
@@ -251,19 +253,17 @@ def cmd_evaluate(config: dict[str, str], seed: int, out: str) -> int:
                 extra_outputs.append(_write_csv(
                     out_dir / f"trace_{label.replace('#', '_')}.csv",
                     TRACE_HEADER, record.trace))
-        sample_sets.append(stats.SampleSet(label, tuple(values)))
 
     fitness_path = _write_csv(out_dir / FITNESS_FILE,
                               ("provider", "spec", "episode", "seed", "fitness"),
                               fitness_rows)
-    comparisons = (stats.compare_sample_sets(a, b)
-                   for a, b in itertools.combinations(sample_sets, 2))
     comparisons_path = _write_csv(
         out_dir / COMPARISONS_FILE,
         ("label_a", "label_b", "mean_a", "mean_b", "U", "p"),
-        ((row["label_a"], row["label_b"], repr(row["mean_a"]),
-          repr(row["mean_b"]), repr(row["U"]), repr(row["p"]))
-         for row in comparisons))
+        ((label_a, label_b, *map(repr, (float(np.mean(a)), float(np.mean(b)),
+                                        *stats.mann_whitney_u(a, b))))
+         for (label_a, a), (label_b, b)
+         in itertools.combinations(fitness.items(), 2)))
 
     inputs = {"predictor": model_path}
     for label, spec, _ in providers:
@@ -300,6 +300,13 @@ class SweepSpec:
     health_default: int = 60
     kills_default: int = 5
 
+    def validate(self) -> None:
+        for axis in ("ammo", "health", "kills"):
+            if getattr(self, f"{axis}_step") < 1:
+                raise ConfigError(f"{axis}_step must be >= 1")
+            if getattr(self, f"{axis}_min") > getattr(self, f"{axis}_max"):
+                raise ConfigError(f"{axis}_min must not exceed {axis}_max")
+
     def axis_values(self, axis: str) -> list[int]:
         lo = getattr(self, f"{axis}_min")
         hi = getattr(self, f"{axis}_max")
@@ -327,6 +334,7 @@ def sweep_rows(net: goal_net.FeedForwardNet, spec: SweepSpec):
 def cmd_sweep(config: dict[str, str], seed: int, out: str) -> int:
     """Activate a goal network over measurement grids and dump (m, g) rows."""
     spec = apply_overrides(SweepSpec(), _split_prefixed(config, "sweep."))
+    spec.validate()
     raw_genome = config.get("genome_path")
     if not raw_genome:
         raise ConfigError("config key 'genome_path' is required")
@@ -353,17 +361,28 @@ def cmd_sweep(config: dict[str, str], seed: int, out: str) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
+# Each command with its help text and the config keys it reads.
+_COMMANDS = {
+    "train-predictor": (cmd_train_predictor, "train the measurement predictor",
+                        ("scenario.", "predictor.", "horizon_weights")),
+    "evolve": (cmd_evolve, "evolve a goal network against a frozen predictor",
+               ("scenario.", "evolution.", "predictor_path",
+                "horizon_weights")),
+    "evaluate": (cmd_evaluate, "compare goal providers with rank tests",
+                 ("scenario.", "predictor_path", "providers",
+                  "evaluation_episodes", "write_traces", "horizon_weights")),
+    "sweep": (cmd_sweep, "sweep measurements through a goal network",
+              ("sweep.", "genome_path")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="goalevo",
         description="Train a measurement predictor, evolve goal networks, "
                     "compare goal providers, and sweep evolved goals.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("train-predictor", "train the measurement predictor"),
-            ("evolve", "evolve a goal network against a frozen predictor"),
-            ("evaluate", "compare goal providers with rank tests"),
-            ("sweep", "sweep measurements through a goal network")):
+    for name, (_, helptext, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed", type=int, default=0, help="master seed")
@@ -371,22 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each command with the config keys it reads.
-_COMMANDS = {
-    "train-predictor": (cmd_train_predictor,
-                        ("scenario.", "predictor.", "horizon_weights")),
-    "evolve": (cmd_evolve, ("scenario.", "evolution.", "predictor_path",
-                            "horizon_weights")),
-    "evaluate": (cmd_evaluate, ("scenario.", "predictor_path", "providers",
-                                "evaluation_episodes", "write_traces",
-                                "horizon_weights")),
-    "sweep": (cmd_sweep, ("sweep.", "genome_path")),
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command, accepted = _COMMANDS[args.command]
+    command, _, accepted = _COMMANDS[args.command]
     try:
         config = _load_config(args.config, accepted)
         return command(config, args.seed, args.out)

@@ -59,6 +59,8 @@ class EvolutionConfig:
             raise ConfigError("episodes_per_eval must be >= 1")
         if self.elitism < 0:
             raise ConfigError("elitism must be >= 0")
+        if self.stagnation_generations < 1:
+            raise ConfigError("stagnation_generations must be >= 1")
         if self.n_workers < 0:
             raise ConfigError("n_workers must be >= 0 (0 = one per CPU)")
 

@@ -53,14 +53,19 @@ class PredictorConfig:
             raise ConfigError("temporal offsets must be positive")
         if any(b <= a for a, b in zip(offs, offs[1:])):
             raise ConfigError("temporal offsets must be strictly increasing")
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ConfigError("hidden_sizes must be >= 1")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError("momentum must be in [0, 1)")
+        if not all(0.0 <= e <= 1.0
+                   for e in (self.epsilon_start, self.epsilon_end)):
+            raise ConfigError("epsilon_start and epsilon_end must be in [0, 1]")
         if self.batch_size < 1 or self.replay_capacity < self.batch_size:
             raise ConfigError("replay capacity must hold at least one batch")
         if self.training_episodes < 1 or self.train_interval < 1:
             raise ConfigError("training_episodes and train_interval must be >= 1")
-
-
-def _leaky_grad(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0, 1.0, LEAKY_SLOPE)
 
 
 class PredictorNet:
@@ -102,24 +107,26 @@ class PredictorNet:
 
     # -- forward -------------------------------------------------------------
 
-    def input_vector(self, obs: np.ndarray, m: Measurements, g) -> np.ndarray:
+    def forward(self, obs: np.ndarray, m: Measurements, g) -> np.ndarray:
+        """Predicted measurement deltas, shaped (action, offset, measurement)."""
         if len(obs) != self.obs_dim:
             raise ValueError(
                 f"observation has length {len(obs)}, expected {self.obs_dim}")
-        x = np.empty(self.input_dim)
-        x[:self.obs_dim] = obs
-        x[self.obs_dim:self.obs_dim + N_MEASUREMENTS] = normalize_measurements(m)
-        x[self.obs_dim + N_MEASUREMENTS:] = g
-        return x
+        x = np.concatenate([obs, normalize_measurements(m), g])
+        return _layers(self, x)[-1].reshape(self.n_actions, self.n_offsets,
+                                            N_MEASUREMENTS)
 
-    def forward(self, obs: np.ndarray, m: Measurements, g) -> np.ndarray:
-        """Predicted measurement deltas, shaped (action, offset, measurement)."""
-        x = self.input_vector(obs, m, g)
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            x = w @ x + b
-            np.maximum(x, LEAKY_SLOPE * x, out=x)
-        out = self.weights[-1] @ x + self.biases[-1]
-        return out.reshape(self.n_actions, self.n_offsets, N_MEASUREMENTS)
+
+def _layers(net: PredictorNet, x: np.ndarray) -> list[np.ndarray]:
+    """The input of each layer, then the output, for one input vector or for
+    a (B, D) batch of rows; acting and learning share this one pass."""
+    acts = [x]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = acts[-1] @ w.T + b
+        np.maximum(z, LEAKY_SLOPE * z, out=z)
+        acts.append(z)
+    acts.append(acts[-1] @ net.weights[-1].T + net.biases[-1])
+    return acts
 
 
 # -- experience ---------------------------------------------------------------
@@ -227,14 +234,8 @@ def _loss(net: PredictorNet, batch, need_grads: bool):
     if n_valid == 0:
         raise ValueError("batch has no valid targets (all offsets masked)")
 
-    acts = [x]
-    zs = []
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = acts[-1] @ w.T + b
-        zs.append(z)
-        acts.append(np.maximum(z, LEAKY_SLOPE * z))
-    out = acts[-1] @ net.weights[-1].T + net.biases[-1]
-    preds = out.reshape(len(batch), net.n_actions, net.n_offsets, N_MEASUREMENTS)
+    acts = _layers(net, x)
+    preds = acts[-1].reshape(len(batch), net.n_actions, net.n_offsets, N_MEASUREMENTS)
     rows = np.arange(len(batch))
     taken = preds[rows, batch.action]                  # (B, K, 3)
     err = (taken - batch.targets) * batch.mask[:, :, None]
@@ -252,7 +253,9 @@ def _loss(net: PredictorNet, batch, need_grads: bool):
         grads_w[layer] = delta.T @ acts[layer]
         grads_b[layer] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ net.weights[layer]) * _leaky_grad(zs[layer - 1])
+            # leaky(z) > 0 exactly where z > 0, so the slope reads off acts
+            delta = (delta @ net.weights[layer]) * np.where(
+                acts[layer] > 0, 1.0, LEAKY_SLOPE)
     return loss, grads_w, grads_b
 
 

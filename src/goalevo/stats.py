@@ -9,22 +9,11 @@ variance and a continuity correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 EXACT_MAX_MIN_N = 8
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    label: str
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) == 0:
-            raise ValueError(f"sample set {self.label!r} is empty")
 
 
 def _normal_sf(z: float) -> float:
@@ -34,23 +23,17 @@ def _normal_sf(z: float) -> float:
 @lru_cache(maxsize=256)
 def _exact_u_counts(n1: int, n2: int) -> tuple[int, ...]:
     """counts[u] = number of arrangements of n1 + n2 distinct values giving
-    U = u for the first sample. Walks the pooled order smallest-first; placing
-    an x after j y's contributes j to U."""
-    max_u = n1 * n2
-    # dp[j] = polynomial over u for "i x's placed, j y's placed"
-    dp = [[np.zeros(max_u + 1, dtype=object) for _ in range(n2 + 1)]
-          for _ in range(n1 + 1)]
-    dp[0][0][0] = 1
-    for i in range(n1 + 1):
-        for j in range(n2 + 1):
-            here = dp[i][j]
-            if not here.any():
-                continue
-            if i < n1:  # next pooled value is an x: adds j pairs y < x
-                dp[i + 1][j][j:] += here[:max_u + 1 - j]
-            if j < n2:  # next pooled value is a y
-                dp[i][j + 1] += here
-    return tuple(int(v) for v in dp[n1][n2])
+    U = u for the first sample: the coefficients of the Gaussian binomial
+    prod_{i=1..n1} (1 - q^(n2+i)) / (1 - q^i). Every factor is applied to
+    the series cut after q^(n1*n2), which is exact as the product is a
+    polynomial of that degree."""
+    counts = [1] + [0] * (n1 * n2)
+    for i in range(1, n1 + 1):
+        for u in range(n1 * n2, n2 + i - 1, -1):  # times (1 - q^(n2+i))
+            counts[u] -= counts[u - n2 - i]
+        for u in range(i, n1 * n2 + 1):  # divided by (1 - q^i)
+            counts[u] += counts[u - i]
+    return tuple(counts)
 
 
 def _exact_p(u: float, n1: int, n2: int, alternative: str) -> float:
@@ -110,16 +93,3 @@ def mann_whitney_u(x, y, alternative: str = "two-sided") -> tuple[float, float]:
         return u, _exact_p(u, n1, n2, alternative)
     tie_term = float(np.sum(tie_counts.astype(float) ** 3 - tie_counts))
     return u, _approx_p(u, n1, n2, tie_term, alternative)
-
-
-def compare_sample_sets(x: SampleSet, y: SampleSet) -> dict:
-    """One comparison-report row: labels, means, U and two-sided p."""
-    u, p = mann_whitney_u(x.values, y.values)
-    return {
-        "label_a": x.label,
-        "label_b": y.label,
-        "mean_a": float(np.mean(x.values)),
-        "mean_b": float(np.mean(y.values)),
-        "U": u,
-        "p": p,
-    }

@@ -12,6 +12,7 @@ import pytest
 from goalevo import cli, goal_net
 from goalevo.env import ACTION_NAMES
 from goalevo.goal_net import ConnGene, Genome, NodeGene
+from goalevo.stats import mann_whitney_u
 
 TINY_SCENARIO = """
 scenario.preset_name = original
@@ -180,8 +181,14 @@ evaluation_episodes = 4
     comparisons = read_csv(out / "comparisons.csv")
     assert comparisons[0] == ["label_a", "label_b", "mean_a", "mean_b", "U", "p"]
     assert len(comparisons) == 1 + 3  # C(3,2)
+    values = {}
+    for row in fitness[1:]:
+        values.setdefault(row[0], []).append(float(row[4]))
     for row in comparisons[1:]:
         assert 0.0 <= float(row[5]) <= 1.0
+        a, b = values[row[0]], values[row[1]]
+        assert row[2:] == [repr(float(np.mean(a))), repr(float(np.mean(b))),
+                           *map(repr, mann_whitney_u(a, b))]
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert "genome_evolved" in manifest["inputs"]
@@ -433,6 +440,27 @@ def test_values_that_do_not_parse_name_their_key(tmp_path, capsys,
     }[command]
     error = fails_before_work(tmp_path, capsys, command, config + line + "\n")
     assert repr(key) in error and repr(line.split(" = ")[1]) in error
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("train-predictor", "predictor.momentum = 1.0", "momentum"),
+    ("train-predictor", "predictor.learning_rate = -1", "learning_rate"),
+    ("train-predictor", "predictor.epsilon_start = 3", "epsilon_start"),
+    ("train-predictor", "predictor.hidden_sizes = -5", "hidden_sizes"),
+    ("sweep", "sweep.ammo_step = 0", "ammo_step"),
+    ("sweep", "sweep.ammo_min = 50", "ammo_min"),
+    ("evolve", "evolution.stagnation_generations = 0",
+     "stagnation_generations"),
+])
+def test_out_of_range_values_name_their_key(tmp_path, capsys, trained_model,
+                                            command, line, key):
+    config = {
+        "train-predictor": TINY_PREDICTOR,
+        "evolve": evolve_config(trained_model),
+        "sweep": f"genome_path = {constant_genome(tmp_path)}\n",
+    }[command]
+    error = fails_before_work(tmp_path, capsys, command, config + line + "\n")
+    assert key in error
 
 
 def test_evaluate_accepts_horizon_weights_of_the_offset_count(tmp_path,

@@ -7,7 +7,8 @@ import pytest
 
 from goalevo import predictor as pred_mod
 from goalevo.configio import ConfigError
-from goalevo.env import GridBattleEnv, Measurements, observation_size
+from goalevo.env import (GridBattleEnv, Measurements, normalize_measurements,
+                         observation_size)
 from goalevo.predictor import (Experience, PredictorConfig, PredictorNet,
                                ReplayBuffer, batch_loss, collect_and_train,
                                episode_to_samples, epsilon_at, gradients,
@@ -88,6 +89,37 @@ def test_forward_rejects_bad_observation_length():
     net = tiny_net(obs_dim=4)
     with pytest.raises(ValueError):
         net.forward(np.zeros(5), Measurements(0, 100, 0), np.zeros(3))
+
+
+@pytest.mark.parametrize("obs_dim, offsets, hidden, n_actions", [
+    (1, (1,), (), 1),
+    (2, (1, 2), (4,), 3),
+    (7, (1, 2, 4), (16, 8), 5),
+    (30, (1, 2, 4, 8, 16, 32), (64, 32, 16), 8),
+])
+def test_acting_and_learning_agree_at_batch_one(obs_dim, offsets, hidden,
+                                                n_actions):
+    """batch_loss on a one-row Experience is, to the last bit, the masked
+    squared error of forward's prediction for that row."""
+    rng = np.random.default_rng(obs_dim)
+    k = len(offsets)
+    for _ in range(20):
+        net = PredictorNet(obs_dim, offsets=offsets, hidden_sizes=hidden,
+                           n_actions=n_actions, rng=rng)
+        m = Measurements(*(int(v) for v in rng.integers(0, 60, size=3)))
+        mask = rng.random(k) < 0.7
+        mask[rng.integers(k)] = True
+        row = Experience(
+            obs=rng.normal(size=(1, obs_dim)).astype(np.float32),
+            m_norm=normalize_measurements(m)[None],
+            goal=rng.uniform(-1, 1, size=(1, 3)),
+            action=rng.integers(n_actions, size=1),
+            targets=rng.normal(size=(1, k, 3)) * mask[None, :, None],
+            mask=mask[None])
+        preds = net.forward(row.obs[0], m, row.goal[0])
+        err = (preds[row.action[0]] - row.targets[0]) * mask[:, None]
+        expected = float(np.sum(err * err) / (3 * int(mask.sum())))
+        assert batch_loss(net, row) == expected
 
 
 # -- loss and gradients ----------------------------------------------------------

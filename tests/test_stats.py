@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goalevo.stats import SampleSet, compare_sample_sets, mann_whitney_u
+from goalevo.stats import mann_whitney_u
 
 
 def brute_force_exact(x, y, alternative="two-sided"):
@@ -140,17 +140,18 @@ def test_tie_corrected_variance_against_scipy():
     assert p == pytest.approx(ref.pvalue, rel=1e-6)
 
 
-# -- sample sets and report rows ---------------------------------------------------
+# -- report rows ----------------------------------------------------------------
 
 
-def test_sample_set_requires_values():
-    with pytest.raises(ValueError):
-        SampleSet("x", ())
+def test_mann_whitney_u_requires_values():
+    for x, y in [((), (1.0,)), ((1.0,), ()), ((), ())]:
+        with pytest.raises(ValueError):
+            mann_whitney_u(x, y)
 
 
-def test_compare_sample_sets_row():
-    row = compare_sample_sets(SampleSet("a", (1.0, 2.0, 3.0)),
-                              SampleSet("b", (4.0, 5.0, 6.0)))
-    assert row["label_a"] == "a" and row["label_b"] == "b"
-    assert row["mean_a"] == 2.0 and row["mean_b"] == 5.0
-    assert row["U"] == 0.0 and row["p"] == pytest.approx(0.1)
+def test_comparison_row_figures():
+    """The figures one comparisons.csv row reports for two samples."""
+    a, b = (1.0, 2.0, 3.0), (4.0, 5.0, 6.0)
+    assert float(np.mean(a)) == 2.0 and float(np.mean(b)) == 5.0
+    u, p = mann_whitney_u(a, b)
+    assert u == 0.0 and p == pytest.approx(0.1)
