@@ -63,6 +63,17 @@ class EvolutionConfig:
             raise ConfigError("stagnation_generations must be >= 1")
         if self.n_workers < 0:
             raise ConfigError("n_workers must be >= 0 (0 = one per CPU)")
+        for name in ("add_connection_rate", "delete_connection_rate",
+                     "add_node_rate", "delete_node_rate",
+                     "weight_mutate_rate", "weight_replace_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1]")
+        for name in ("weight_perturb_sigma", "c_excess", "c_disjoint",
+                     "c_weight"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
+        if not self.compatibility_threshold > 0.0:
+            raise ConfigError("compatibility_threshold must be > 0")
 
 
 class InnovationRegistry:

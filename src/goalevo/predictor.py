@@ -104,6 +104,7 @@ class PredictorNet:
         self._vel = [np.zeros_like(p) for p in params]  # adam m
         self._sq = [np.zeros_like(p) for p in params]   # adam v
         self._t = 0
+        self._work: _Workspace | None = None  # train_step's, on first call
 
     # -- forward -------------------------------------------------------------
 
@@ -117,15 +118,21 @@ class PredictorNet:
                                             N_MEASUREMENTS)
 
 
-def _layers(net: PredictorNet, x: np.ndarray) -> list[np.ndarray]:
+def _layers(net: PredictorNet, x: np.ndarray,
+            outs: list[np.ndarray] | None = None) -> list[np.ndarray]:
     """The input of each layer, then the output, for one input vector or for
-    a (B, D) batch of rows; acting and learning share this one pass."""
+    a (B, D) batch of rows; acting and learning share this one pass. Given
+    ``outs``, one array per layer output, the layers write into them."""
     acts = [x]
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = acts[-1] @ w.T + b
-        np.maximum(z, LEAKY_SLOPE * z, out=z)
+    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+        if outs is None:
+            z = acts[-1] @ w.T
+        else:
+            z = np.matmul(acts[-1], w.T, out=outs[layer])
+        z += b
+        if layer < len(net.weights) - 1:
+            np.maximum(z, LEAKY_SLOPE * z, out=z)
         acts.append(z)
-    acts.append(acts[-1] @ net.weights[-1].T + net.biases[-1])
     return acts
 
 
@@ -222,55 +229,76 @@ def _stack(samples) -> Experience:
                         for f in fields(Experience)))
 
 
-def _loss(net: PredictorNet, batch, need_grads: bool):
-    """Batched forward pass, loss and, if asked, the backward pass, on an
-    Experience or a sequence of per-sample objects."""
+def _loss(net: PredictorNet, batch, work: _Workspace | None = None):
+    """Batched forward pass and loss on an Experience or a sequence of
+    per-sample objects; given a workspace, also the backward pass, written
+    into the workspace's arrays."""
     if len(batch) == 0:
         raise ValueError("empty batch")
     if not isinstance(batch, Experience):
         batch = _stack(batch)
-    x = np.concatenate([batch.obs, batch.m_norm, batch.goal], axis=1)
+    x = np.concatenate([batch.obs, batch.m_norm, batch.goal], axis=1,
+                       out=None if work is None else work.x)
     n_valid = int(batch.mask.sum()) * N_MEASUREMENTS
     if n_valid == 0:
         raise ValueError("batch has no valid targets (all offsets masked)")
 
-    acts = _layers(net, x)
+    acts = _layers(net, x, None if work is None else work.acts)
     preds = acts[-1].reshape(len(batch), net.n_actions, net.n_offsets, N_MEASUREMENTS)
     rows = np.arange(len(batch))
     taken = preds[rows, batch.action]                  # (B, K, 3)
     err = (taken - batch.targets) * batch.mask[:, :, None]
     loss = float(np.sum(err * err) / n_valid)
-    if not need_grads:
+    if work is None:
         return loss, None, None
 
-    d_out = np.zeros_like(preds)
-    d_out[rows, batch.action] = 2.0 * err / n_valid
-    delta = d_out.reshape(len(batch), net.output_dim)
-
-    grads_w = [None] * len(net.weights)
-    grads_b = [None] * len(net.biases)
+    delta = work.d_out
+    delta.fill(0.0)
+    delta.reshape(preds.shape)[rows, batch.action] = 2.0 * err / n_valid
     for layer in range(len(net.weights) - 1, -1, -1):
-        grads_w[layer] = delta.T @ acts[layer]
-        grads_b[layer] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[layer], out=work.grads_w[layer])
+        np.sum(delta, axis=0, out=work.grads_b[layer])
         if layer > 0:
+            delta = np.matmul(delta, net.weights[layer],
+                              out=work.deltas[layer - 1])
             # leaky(z) > 0 exactly where z > 0, so the slope reads off acts
-            delta = (delta @ net.weights[layer]) * np.where(
-                acts[layer] > 0, 1.0, LEAKY_SLOPE)
-    return loss, grads_w, grads_b
+            np.multiply(delta, LEAKY_SLOPE, out=delta, where=acts[layer] <= 0)
+    return loss, work.grads_w, work.grads_b
 
 
-def gradients(net: PredictorNet, batch):
+class _Workspace:
+    """The arrays a training step writes into, for one net and batch length:
+    input rows, layer outputs, output and hidden deltas, parameter gradients
+    and one Adam scratch array per parameter."""
+
+    def __init__(self, net: PredictorNet, rows: int):
+        widths = [w.shape[0] for w in net.weights]  # hidden sizes, output
+        self.rows = rows
+        self.x = np.empty((rows, net.input_dim))
+        self.acts = [np.empty((rows, n)) for n in widths]
+        self.d_out = np.empty((rows, net.output_dim))
+        self.deltas = [np.empty((rows, n)) for n in widths[:-1]]
+        self.grads_w = [np.empty_like(w) for w in net.weights]
+        self.grads_b = [np.empty_like(b) for b in net.biases]
+        self.scratch = [np.empty_like(p) for p in net.weights + net.biases]
+
+
+def gradients(net: PredictorNet, batch, work: _Workspace | None = None):
     """Loss plus analytic parameter gradients for a batch.
 
     The loss is the mean squared error over the valid (offset, measurement)
-    entries of each sample's taken action.
+    entries of each sample's taken action. The gradient arrays are new and
+    the caller's, unless ``work`` is given (``train_step`` passes the net's
+    workspace): then they are the workspace's, overwritten by the next call.
     """
-    return _loss(net, batch, need_grads=True)
+    if work is None:
+        work = _Workspace(net, len(batch))
+    return _loss(net, batch, work)
 
 
 def batch_loss(net: PredictorNet, batch) -> float:
     """Loss on a batch without updating anything."""
-    return _loss(net, batch, need_grads=False)[0]
+    return _loss(net, batch)[0]
 
 
 ADAM_BETA2 = 0.999
@@ -279,20 +307,32 @@ ADAM_EPS = 1e-8
 
 def train_step(net: PredictorNet, batch) -> float:
     """One Adam update (beta1 from the momentum field, standard beta2 and
-    epsilon); returns the pre-update loss."""
-    loss, grads_w, grads_b = gradients(net, batch)
+    epsilon); returns the pre-update loss. Besides the parameters and the
+    Adam moments, the net keeps the arrays the step writes into (``_work``:
+    input rows, layer outputs, deltas, gradients, Adam scratch) for the next
+    step, rebuilt when the batch length changes. Each update keeps the
+    operands and order of the textbook formulas, so results match bitwise."""
+    work = net._work
+    if work is None or work.rows != len(batch):
+        work = net._work = _Workspace(net, len(batch))
+    loss, grads_w, grads_b = gradients(net, batch, work)
     params = net.weights + net.biases
     grads = grads_w + grads_b
     net._t += 1
     beta1 = net.momentum
     corr1 = 1.0 - beta1 ** net._t
     corr2 = 1.0 - ADAM_BETA2 ** net._t
-    for p, g, m, v in zip(params, grads, net._vel, net._sq):
+    for p, g, m, v, s in zip(params, grads, net._vel, net._sq, work.scratch):
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=s)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= net.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+        v += np.multiply(s, g, out=s)
+        # p -= lr * (m / corr1) / (sqrt(v / corr2) + eps), g as 2nd scratch
+        np.multiply(np.divide(m, corr1, out=s), net.learning_rate, out=s)
+        np.sqrt(np.divide(v, corr2, out=g), out=g)
+        g += ADAM_EPS
+        p -= np.divide(s, g, out=s)
     return loss
 
 

@@ -451,6 +451,23 @@ def test_values_that_do_not_parse_name_their_key(tmp_path, capsys,
     ("sweep", "sweep.ammo_min = 50", "ammo_min"),
     ("evolve", "evolution.stagnation_generations = 0",
      "stagnation_generations"),
+    ("evolve", "evolution.add_connection_rate = 1.5", "add_connection_rate"),
+    ("evolve", "evolution.delete_connection_rate = -0.1",
+     "delete_connection_rate"),
+    ("evolve", "evolution.add_node_rate = 7", "add_node_rate"),
+    ("evolve", "evolution.delete_node_rate = nan", "delete_node_rate"),
+    ("evolve", "evolution.weight_mutate_rate = 2", "weight_mutate_rate"),
+    ("evolve", "evolution.weight_replace_rate = -1", "weight_replace_rate"),
+    ("evolve", "evolution.weight_perturb_sigma = -1", "weight_perturb_sigma"),
+    ("evolve", "evolution.weight_perturb_sigma = inf",
+     "weight_perturb_sigma"),
+    ("evolve", "evolution.compatibility_threshold = -3",
+     "compatibility_threshold"),
+    ("evolve", "evolution.compatibility_threshold = 0",
+     "compatibility_threshold"),
+    ("evolve", "evolution.c_excess = -1", "c_excess"),
+    ("evolve", "evolution.c_disjoint = inf", "c_disjoint"),
+    ("evolve", "evolution.c_weight = -0.5", "c_weight"),
 ])
 def test_out_of_range_values_name_their_key(tmp_path, capsys, trained_model,
                                             command, line, key):

@@ -62,6 +62,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         EvolutionConfig(n_workers=-3).validate()
     EvolutionConfig(elitism=0, n_workers=0).validate()
+    # the ends of the rate, sigma and coefficient ranges are accepted
+    EvolutionConfig(**ZERO_RATES, weight_perturb_sigma=0.0, c_excess=0.0,
+                    c_disjoint=0.0, c_weight=0.0).validate()
+    EvolutionConfig(**{name: 1.0 for name in ZERO_RATES},
+                    compatibility_threshold=1e-9).validate()
 
 
 # -- genomes and registry -------------------------------------------------------

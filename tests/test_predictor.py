@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from goalevo import predictor as pred_mod
 from goalevo.configio import ConfigError
-from goalevo.env import (GridBattleEnv, Measurements, normalize_measurements,
+from goalevo.env import (DEFAULT_OBS_RADIUS, GridBattleEnv, Measurements,
+                         normalize_measurements,
                          observation_size)
 from goalevo.predictor import (Experience, PredictorConfig, PredictorNet,
                                ReplayBuffer, batch_loss, collect_and_train,
@@ -238,6 +240,116 @@ def test_training_memorizes_small_fixed_batch():
     for _ in range(500):
         train_step(net, batch)
     assert batch_loss(net, batch) < 0.05 * first
+
+
+def random_batch(net, rng, rows):
+    """An Experience of ``rows`` random rows, each with a valid target."""
+    k = net.n_offsets
+    mask = rng.random((rows, k)) < 0.7
+    mask[np.arange(rows), rng.integers(k, size=rows)] = True
+    return Experience(
+        obs=rng.normal(size=(rows, net.obs_dim)).astype(np.float32),
+        m_norm=rng.uniform(0, 1, (rows, 3)),
+        goal=rng.uniform(-1, 1, (rows, 3)),
+        action=rng.integers(net.n_actions, size=rows),
+        targets=rng.normal(size=(rows, k, 3)) * mask[:, :, None],
+        mask=mask)
+
+
+def textbook_step(net, state, batch):
+    """One allocating Adam step, forward and backward included, written out
+    with the formulas train_step must match; ``state`` holds t, m and v."""
+    x = np.concatenate([batch.obs, batch.m_norm, batch.goal], axis=1)
+    acts = [x]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = acts[-1] @ w.T + b
+        acts.append(np.maximum(z, pred_mod.LEAKY_SLOPE * z))
+    acts.append(acts[-1] @ net.weights[-1].T + net.biases[-1])
+    preds = acts[-1].reshape(len(batch), net.n_actions, net.n_offsets, 3)
+    rows = np.arange(len(batch))
+    n_valid = int(batch.mask.sum()) * 3
+    err = (preds[rows, batch.action] - batch.targets) * batch.mask[:, :, None]
+    loss = float(np.sum(err * err) / n_valid)
+    d_out = np.zeros_like(preds)
+    d_out[rows, batch.action] = 2.0 * err / n_valid
+    delta = d_out.reshape(len(batch), net.output_dim)
+    grads_w, grads_b = [None] * len(net.weights), [None] * len(net.biases)
+    for layer in range(len(net.weights) - 1, -1, -1):
+        grads_w[layer] = delta.T @ acts[layer]
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ net.weights[layer]) * np.where(
+                acts[layer] > 0, 1.0, pred_mod.LEAKY_SLOPE)
+    state["t"] += 1
+    beta1, beta2 = net.momentum, pred_mod.ADAM_BETA2
+    corr1 = 1.0 - beta1 ** state["t"]
+    corr2 = 1.0 - beta2 ** state["t"]
+    for p, g, m, v in zip(net.weights + net.biases, grads_w + grads_b,
+                          state["m"], state["v"]):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= net.learning_rate * (m / corr1) / (np.sqrt(v / corr2)
+                                                + pred_mod.ADAM_EPS)
+    return loss
+
+
+@pytest.mark.parametrize("hidden", [(), (16,), (32, 8), (24, 12, 6)])
+def test_train_step_matches_the_textbook_update_bit_for_bit(hidden):
+    """50 buffered steps equal 50 allocating ones to the last bit, with the
+    batch length changing between steps so that the workspace is rebuilt."""
+    net = PredictorNet(11, offsets=(1, 2, 4), hidden_sizes=hidden,
+                       n_actions=4, learning_rate=0.01,
+                       rng=np.random.default_rng(len(hidden)))
+    ref = copy.deepcopy(net)
+    state = {"t": 0, "m": [np.zeros_like(p) for p in ref.weights + ref.biases],
+             "v": [np.zeros_like(p) for p in ref.weights + ref.biases]}
+    rng = np.random.default_rng(40 + len(hidden))
+    lengths = [64, 64, 5, 1, 1, 64, 5, 5, 1, 64]
+    for step in range(50):
+        batch = random_batch(net, rng, lengths[step % len(lengths)])
+        work = net._work
+        assert train_step(net, batch) == textbook_step(ref, state, batch)
+        if work is not None and work.rows == len(batch):
+            assert net._work is work  # same length: the arrays are reused
+        assert net._work.rows == len(batch)
+        for mine, theirs in zip(net.weights + net.biases,
+                                ref.weights + ref.biases):
+            assert np.array_equal(mine, theirs)
+
+
+def test_gradients_returns_arrays_the_caller_owns():
+    net = tiny_net(hidden=(6, 5), seed=4)
+    rng = np.random.default_rng(12)
+    first = gradients(net, random_batch(net, rng, 8))
+    kept = copy.deepcopy(first)
+    gradients(net, random_batch(net, rng, 8))
+    train_step(net, random_batch(net, rng, 8))
+    assert first[0] == kept[0]
+    for mine, theirs in zip(first[1] + first[2], kept[1] + kept[2]):
+        assert np.array_equal(mine, theirs)
+
+
+def test_train_step_allocates_no_layer_sized_array():
+    """Once warm, a step on the default net (333 -> 128 -> 128 -> 108) at
+    batch 64 allocates nothing of the 333 x 128 first-layer size; the
+    largest array it makes is one 64 x 128 hidden-layer temporary."""
+    net = PredictorNet(observation_size(DEFAULT_OBS_RADIUS),
+                       rng=np.random.default_rng(0))
+    assert [w.shape for w in net.weights] == [(128, 333), (128, 128),
+                                              (108, 128)]
+    batch = random_batch(net, np.random.default_rng(1), 64)
+    for _ in range(3):
+        train_step(net, batch)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train_step(net, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 128 * 1024
 
 
 # -- experience plumbing ----------------------------------------------------------
