@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, goal_net, neat, policy, predictor, stats
-from .configio import ConfigError, apply_overrides, coerce_value, parse_kv_file
+from .configio import (ConfigError, apply_overrides, bounded, check_bounds,
+                       coerce_value, parse_kv_file)
 from .env import (GridBattleEnv, Measurements, episode_fitness,
                   normalize_measurements, scenario_from_overrides)
 
@@ -61,6 +62,8 @@ def _parse_horizon_weights(config: dict[str, str], n_offsets: int):
     if raw is None:
         return None
     weights = coerce_value("horizon_weights", raw, "tuple[float, ...]")
+    if not np.isfinite(weights).all():
+        raise ConfigError(f"horizon_weights must be finite, got {raw!r}")
     if len(weights) != n_offsets:
         raise ConfigError(f"horizon_weights has {len(weights)} values, but the "
                           f"predictor has {n_offsets} temporal offsets")
@@ -289,21 +292,20 @@ class SweepSpec:
 
     ammo_min: int = 0
     ammo_max: int = 40
-    ammo_step: int = 1
+    ammo_step: int = bounded(1, 1)
     health_min: int = 0
     health_max: int = 100
-    health_step: int = 5
+    health_step: int = bounded(5, 1)
     kills_min: int = 0
     kills_max: int = 25
-    kills_step: int = 1
+    kills_step: int = bounded(1, 1)
     ammo_default: int = 10
     health_default: int = 60
     kills_default: int = 5
 
     def validate(self) -> None:
+        check_bounds(self)
         for axis in ("ammo", "health", "kills"):
-            if getattr(self, f"{axis}_step") < 1:
-                raise ConfigError(f"{axis}_step must be >= 1")
             if getattr(self, f"{axis}_min") > getattr(self, f"{axis}_max"):
                 raise ConfigError(f"{axis}_min must not exceed {axis}_max")
 
@@ -394,6 +396,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command, _, accepted = _COMMANDS[args.command]
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         config = _load_config(args.config, accepted)
         return command(config, args.seed, args.out)
     except (ConfigError, ValueError, OSError) as exc:

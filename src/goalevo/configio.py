@@ -1,8 +1,9 @@
-"""Plain-text ``key = value`` config files and string-to-field coercion."""
+"""Plain-text ``key = value`` config files, field coercion and bounds."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 
@@ -74,3 +75,33 @@ def apply_overrides(instance, overrides: dict[str, str]):
             )
         updates[key] = coerce_value(key, value, field_types[key])
     return dataclasses.replace(instance, **updates)
+
+
+def bounded(default, lo=-math.inf, hi=math.inf, open_lo=False, open_hi=False):
+    """A dataclass field whose value, or each element of a tuple value,
+    ``check_bounds`` requires in [lo, hi], less each end marked open."""
+    return dataclasses.field(default=default,
+                             metadata={"bounds": (lo, hi, open_lo, open_hi)})
+
+
+def check_bounds(config) -> None:
+    """Raise ConfigError, naming the field, its range and its value, unless
+    every number in the fields of the dataclass ``config`` is finite and in
+    its ``bounded`` range; strings and booleans are skipped."""
+    for f in dataclasses.fields(config):
+        lo, hi, open_lo, open_hi = f.metadata.get(
+            "bounds", (-math.inf, math.inf, False, False))
+        value = getattr(config, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, (str, bool)) or (
+                    math.isfinite(v) and (lo < v if open_lo else lo <= v)
+                    and (v < hi if open_hi else v <= hi)):
+                continue
+            if hi < math.inf:
+                allowed = (f" in {'(' if open_lo else '['}{lo}, "
+                           f"{hi}{')' if open_hi else ']'}")
+            else:
+                allowed = (f" {'>' if open_lo else '>='} {lo}"
+                           if lo > -math.inf else "")
+            raise ConfigError(f"{f.name} must be a finite number{allowed}, "
+                              f"got {value!r}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configio import ConfigError, apply_overrides
+from .configio import ConfigError, apply_overrides, bounded, check_bounds
 
 # Measurement normalization scales shared by observations, prediction targets
 # and goal-network inputs. Levels are clipped to [0, 1] after scaling;
@@ -98,40 +98,28 @@ class ScenarioConfig:
     """Scenario parameters. The three presets share everything except the
     knobs listed in their factory functions below."""
 
-    grid_width: int = 32
-    grid_height: int = 32
-    wall_layout_seed: int = 0
-    n_monsters: int = 7
-    monster_health: int = 1
-    monster_damage: int = 2
+    grid_width: int = bounded(32, 5)
+    grid_height: int = bounded(32, 5)
+    wall_layout_seed: int = bounded(0, 0)
+    n_monsters: int = bounded(7, 0)
+    monster_health: int = bounded(1, 0)
+    monster_damage: int = bounded(2, 0)
     monster_respawn: bool = True
-    n_ammo_packs: int = 6
-    ammo_per_pack: int = 5
-    n_health_kits: int = 8
-    health_per_kit: int = 25
-    item_respawn_steps: int = 50
-    initial_ammo: int = 20
-    initial_health: int = 100
-    episode_length: int = 525
-    death_penalty: float = 0.0
+    n_ammo_packs: int = bounded(6, 0)
+    ammo_per_pack: int = bounded(5, 0)
+    n_health_kits: int = bounded(8, 0)
+    health_per_kit: int = bounded(25, 0)
+    item_respawn_steps: int = bounded(50, 0)
+    initial_ammo: int = bounded(20, 0)
+    initial_health: int = bounded(100, 1, MAX_HEALTH)
+    episode_length: int = bounded(525, 1)
+    death_penalty: float = bounded(0.0, 0.0)
     preset_name: str = "original"
 
     def validate(self) -> None:
-        if self.grid_width < 5 or self.grid_height < 5:
-            raise ConfigError("grid must be at least 5x5")
-        if not (1 <= self.initial_health <= MAX_HEALTH):
-            raise ConfigError("initial_health must be in 1..100")
-        if self.episode_length < 1:
-            raise ConfigError("episode_length must be positive")
-        for name in ("n_monsters", "monster_health", "monster_damage",
-                     "n_ammo_packs", "ammo_per_pack", "n_health_kits",
-                     "health_per_kit", "initial_ammo", "item_respawn_steps"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+        check_bounds(self)
         if self.n_monsters > 0 and self.monster_health < 1:
             raise ConfigError("monster_health must be >= 1 when monsters exist")
-        if self.death_penalty < 0:
-            raise ConfigError("death_penalty must be non-negative")
 
 
 def original_scenario() -> ScenarioConfig:

@@ -14,8 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-N_GOAL_INPUTS = 3
-N_GOAL_OUTPUTS = 3
 INPUT_IDS = (0, 1, 2)
 OUTPUT_IDS = (3, 4, 5)
 

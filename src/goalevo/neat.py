@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import goal_net
-from .configio import ConfigError
+from .configio import ConfigError, bounded, check_bounds
 from .env import GridBattleEnv, ScenarioConfig, episode_fitness
 from .goal_net import (ConnGene, Genome, GenomeCycleError, NodeGene,
                        INPUT_IDS, OUTPUT_IDS)
@@ -27,53 +27,31 @@ from .seeds import derive_seed
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    population_size: int = 50
-    generations: int = 100
-    add_connection_rate: float = 0.15
-    delete_connection_rate: float = 0.1
-    add_node_rate: float = 0.15
-    delete_node_rate: float = 0.1
-    weight_mutate_rate: float = 0.8
-    weight_replace_rate: float = 0.02
-    weight_perturb_sigma: float = 1.0
+    population_size: int = bounded(50, 2)
+    generations: int = bounded(100, 1)
+    add_connection_rate: float = bounded(0.15, 0.0, 1.0)
+    delete_connection_rate: float = bounded(0.1, 0.0, 1.0)
+    add_node_rate: float = bounded(0.15, 0.0, 1.0)
+    delete_node_rate: float = bounded(0.1, 0.0, 1.0)
+    weight_mutate_rate: float = bounded(0.8, 0.0, 1.0)
+    weight_replace_rate: float = bounded(0.02, 0.0, 1.0)
+    weight_perturb_sigma: float = bounded(1.0, 0.0)
     weight_min: float = -30.0
     weight_max: float = 30.0
-    episodes_per_eval: int = 8
-    c_excess: float = 1.0
-    c_disjoint: float = 1.0
-    c_weight: float = 0.5
-    compatibility_threshold: float = 3.0
-    stagnation_generations: int = 15
-    elitism: int = 2
-    survival_fraction: float = 0.2
-    n_workers: int = 1  # 0 = one per CPU
+    episodes_per_eval: int = bounded(8, 1)
+    c_excess: float = bounded(1.0, 0.0)
+    c_disjoint: float = bounded(1.0, 0.0)
+    c_weight: float = bounded(0.5, 0.0)
+    compatibility_threshold: float = bounded(3.0, 0.0, open_lo=True)
+    stagnation_generations: int = bounded(15, 1)
+    elitism: int = bounded(2, 0)
+    survival_fraction: float = bounded(0.2, 0.0, 1.0, open_lo=True)
+    n_workers: int = bounded(1, 0)  # 0 = one per CPU
 
     def validate(self) -> None:
-        if self.population_size < 2 or self.generations < 1:
-            raise ConfigError("population_size >= 2 and generations >= 1 required")
+        check_bounds(self)
         if self.weight_min >= self.weight_max:
             raise ConfigError("weight_min must be below weight_max")
-        if not (0.0 < self.survival_fraction <= 1.0):
-            raise ConfigError("survival_fraction must be in (0, 1]")
-        if self.episodes_per_eval < 1:
-            raise ConfigError("episodes_per_eval must be >= 1")
-        if self.elitism < 0:
-            raise ConfigError("elitism must be >= 0")
-        if self.stagnation_generations < 1:
-            raise ConfigError("stagnation_generations must be >= 1")
-        if self.n_workers < 0:
-            raise ConfigError("n_workers must be >= 0 (0 = one per CPU)")
-        for name in ("add_connection_rate", "delete_connection_rate",
-                     "add_node_rate", "delete_node_rate",
-                     "weight_mutate_rate", "weight_replace_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1]")
-        for name in ("weight_perturb_sigma", "c_excess", "c_disjoint",
-                     "c_weight"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0")
-        if not self.compatibility_threshold > 0.0:
-            raise ConfigError("compatibility_threshold must be > 0")
 
 
 class InnovationRegistry:
@@ -354,7 +332,6 @@ def evaluate(genome: Genome, predictor, scenario: ScenarioConfig, seed: int,
 
 @dataclass
 class _Species:
-    sid: int
     representative: Genome
     members: list[Genome] = field(default_factory=list)
     best_fitness: float = -math.inf
@@ -378,7 +355,7 @@ class EvolutionResult:
     n_evaluations: int = 0
 
 
-def _speciate(population, species_list, config, rng, sid_counter):
+def _speciate(population, species_list, config, rng):
     for s in species_list:
         s.members = []
     for genome in population:
@@ -390,8 +367,7 @@ def _speciate(population, species_list, config, rng, sid_counter):
                 placed = True
                 break
         if not placed:
-            species_list.append(_Species(next(sid_counter), genome.copy(),
-                                         members=[genome]))
+            species_list.append(_Species(genome.copy(), members=[genome]))
     species_list[:] = [s for s in species_list if s.members]
     for s in species_list:
         s.representative = s.members[int(rng.integers(len(s.members)))].copy()
@@ -451,7 +427,6 @@ def evolve_against(config: EvolutionConfig, fitness_fn, seed: int,
     rng = np.random.default_rng(derive_seed(seed, 11))
     registry = InnovationRegistry()
     key_counter = itertools.count()
-    sid_counter = itertools.count(1)
     population = [initial_genome(rng, registry, next(key_counter), config)
                   for _ in range(config.population_size)]
     species_list: list[_Species] = []
@@ -484,7 +459,7 @@ def evolve_against(config: EvolutionConfig, fitness_fn, seed: int,
             mean_goal = np.mean([r.mean_goal for r in results], axis=0)
         events = []
 
-        _speciate(population, species_list, config, rng, sid_counter)
+        _speciate(population, species_list, config, rng)
         for s in species_list:
             current = max(m.fitness for m in s.members)
             if current > s.best_fitness:

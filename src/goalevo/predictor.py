@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configio import ConfigError
+from .configio import ConfigError, bounded, check_bounds
 from .env import (DEFAULT_OBS_RADIUS, MEASUREMENT_SCALES, N_ACTIONS,
                   Measurements, normalize_measurements, observation_size)
 from .seeds import derive_seed
@@ -32,40 +32,28 @@ MODEL_VERSION = 1
 
 @dataclass(frozen=True)
 class PredictorConfig:
-    temporal_offsets: tuple[int, ...] = DEFAULT_OFFSETS
-    hidden_sizes: tuple[int, ...] = (128, 128)
-    learning_rate: float = 1e-3
-    momentum: float = 0.9  # adam beta1
-    batch_size: int = 64
+    temporal_offsets: tuple[int, ...] = bounded(DEFAULT_OFFSETS, 0,
+                                                open_lo=True)
+    hidden_sizes: tuple[int, ...] = bounded((128, 128), 1)
+    learning_rate: float = bounded(1e-3, 0.0, open_lo=True)
+    momentum: float = bounded(0.9, 0.0, 1.0, open_hi=True)  # adam beta1
+    batch_size: int = bounded(64, 1)
     replay_capacity: int = 100_000
     # epsilon anneals linearly, once per episode, from start to end over the
     # first half of the episodes
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.1
-    training_episodes: int = 2000
-    train_interval: int = 8  # one gradient step per this many env steps
+    epsilon_start: float = bounded(1.0, 0.0, 1.0)
+    epsilon_end: float = bounded(0.1, 0.0, 1.0)
+    training_episodes: int = bounded(2000, 1)
+    train_interval: int = bounded(8, 1)  # env steps per gradient step
 
     def validate(self) -> None:
+        check_bounds(self)
         offs = self.temporal_offsets
-        if len(offs) < 1:
-            raise ConfigError("need at least one temporal offset")
-        if any(o <= 0 for o in offs):
-            raise ConfigError("temporal offsets must be positive")
-        if any(b <= a for a, b in zip(offs, offs[1:])):
-            raise ConfigError("temporal offsets must be strictly increasing")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ConfigError("hidden_sizes must be >= 1")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigError("learning_rate must be positive and finite")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must be in [0, 1)")
-        if not all(0.0 <= e <= 1.0
-                   for e in (self.epsilon_start, self.epsilon_end)):
-            raise ConfigError("epsilon_start and epsilon_end must be in [0, 1]")
-        if self.batch_size < 1 or self.replay_capacity < self.batch_size:
-            raise ConfigError("replay capacity must hold at least one batch")
-        if self.training_episodes < 1 or self.train_interval < 1:
-            raise ConfigError("training_episodes and train_interval must be >= 1")
+        if not offs or any(b <= a for a, b in zip(offs, offs[1:])):
+            raise ConfigError("temporal_offsets must be non-empty and "
+                              f"strictly increasing, got {offs!r}")
+        if self.replay_capacity < self.batch_size:
+            raise ConfigError("replay_capacity must be >= batch_size")
 
 
 class PredictorNet:

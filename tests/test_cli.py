@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +12,11 @@ import numpy as np
 import pytest
 
 from goalevo import cli, goal_net
-from goalevo.env import ACTION_NAMES
+from goalevo.configio import ConfigError
+from goalevo.env import ACTION_NAMES, ScenarioConfig
 from goalevo.goal_net import ConnGene, Genome, NodeGene
+from goalevo.neat import EvolutionConfig
+from goalevo.predictor import PredictorConfig
 from goalevo.stats import mann_whitney_u
 
 TINY_SCENARIO = """
@@ -373,13 +378,13 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
     assert "monster_speed" in capsys.readouterr().err
 
 
-def fails_before_work(tmp_path, capsys, command, config_text):
+def fails_before_work(tmp_path, capsys, command, config_text, seed="0"):
     """Run ``command`` on the config; it must exit 1 with one error line and
     without creating its output directory. Returns the error line."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(config_text)
     out = tmp_path / "out"
-    assert cli.main([command, "--config", str(cfg), "--seed", "0",
+    assert cli.main([command, "--config", str(cfg), "--seed", seed,
                      "--out", str(out)]) == 1
     assert not out.exists()
     err = capsys.readouterr().err.splitlines()
@@ -468,16 +473,49 @@ def test_values_that_do_not_parse_name_their_key(tmp_path, capsys,
     ("evolve", "evolution.c_excess = -1", "c_excess"),
     ("evolve", "evolution.c_disjoint = inf", "c_disjoint"),
     ("evolve", "evolution.c_weight = -0.5", "c_weight"),
+    ("evolve", "evolution.weight_min = nan", "weight_min"),
+    ("evolve", "evolution.weight_max = inf", "weight_max"),
+    ("evolve", "evolution.weight_min = -inf", "weight_min"),
+    ("evaluate", "scenario.death_penalty = nan", "death_penalty"),
+    ("train-predictor", "scenario.wall_layout_seed = -3", "wall_layout_seed"),
+    ("evaluate", "horizon_weights = nan,1", "horizon_weights"),
+    ("train-predictor", "--seed -1", "--seed"),
 ])
 def test_out_of_range_values_name_their_key(tmp_path, capsys, trained_model,
                                             command, line, key):
     config = {
         "train-predictor": TINY_PREDICTOR,
         "evolve": evolve_config(trained_model),
+        "evaluate": TINY_SCENARIO + f"predictor_path = {trained_model}\n"
+                    "providers = hardcoded\n",
         "sweep": f"genome_path = {constant_genome(tmp_path)}\n",
     }[command]
-    error = fails_before_work(tmp_path, capsys, command, config + line + "\n")
+    if line.startswith("--seed"):  # a command-line flag, not a config line
+        error = fails_before_work(tmp_path, capsys, command, config,
+                                  seed=line.split()[1])
+    else:
+        error = fails_before_work(tmp_path, capsys, command,
+                                  config + line + "\n")
     assert key in error
+
+
+@pytest.mark.parametrize("config_class", [PredictorConfig, EvolutionConfig,
+                                          ScenarioConfig, cli.SweepSpec])
+def test_every_numeric_config_field_must_be_finite(config_class):
+    """Walks every field, so a field added later is checked too: each number
+    must be finite whether or not the field declares bounds."""
+    default = config_class()
+    default.validate()
+    numeric = ("int", "float", "tuple[int, ...]", "tuple[float, ...]")
+    assert all(f.type in numeric + ("bool", "str")
+               for f in dataclasses.fields(default))
+    for f in dataclasses.fields(default):
+        if f.type not in numeric:
+            continue
+        for bad in (math.nan, math.inf, -math.inf):
+            value = (bad,) if f.type.startswith("tuple") else bad
+            with pytest.raises(ConfigError, match=f.name):
+                dataclasses.replace(default, **{f.name: value}).validate()
 
 
 def test_evaluate_accepts_horizon_weights_of_the_offset_count(tmp_path,

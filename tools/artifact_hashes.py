@@ -9,8 +9,10 @@ inputs named by paths relative to the checkout and outputs in a temporary
 directory. The output is one ``sha256  artifact`` line per file, manifests
 included, so two checkouts that must write identical artifacts can be
 compared with ``diff``. The commands cover every CSV the program writes,
-the model file, the genome file, goal networks with hidden nodes, and
-a training run whose replay ring wraps.
+the model file, the genome file, goal networks with hidden nodes, a
+training run whose replay ring wraps, and an evaluation on ``hard`` where
+agents die: death-penalty fitness values, a provider listed twice (label
+``hardcoded#2``, trace ``trace_hardcoded_2.csv``) and rank tests with ties.
 """
 
 from __future__ import annotations
@@ -57,6 +59,12 @@ RUNS = (
      f"predictor_path = {PREDICTOR}\n"
      f"providers = static:0.5,0.5,1.0 | hardcoded | defensive | "
      f"evolved:{GENOME}\n"
+     "evaluation_episodes = 20\n"
+     "write_traces = true\n"),
+    ("evaluate_hard", "evaluate",
+     "scenario.preset_name = hard\n"
+     f"predictor_path = {PREDICTOR}\n"
+     "providers = static:0.5,0.5,1.0 | hardcoded | hardcoded\n"
      "evaluation_episodes = 20\n"
      "write_traces = true\n"),
     ("sweep", "sweep", f"genome_path = {GENOME}\n"),
