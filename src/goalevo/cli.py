@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, goal_net, neat, policy, predictor, stats
 from .configio import (ConfigError, apply_overrides, bounded, check_bounds,
                        coerce_value, parse_kv_file)
-from .env import (GridBattleEnv, Measurements, episode_fitness,
+from .env import (ACTION_NAMES, GridBattleEnv, Measurements, episode_fitness,
                   normalize_measurements, scenario_from_overrides)
 
 DEFAULT_EVALUATION_EPISODES = 20
@@ -126,7 +126,6 @@ def cmd_train_predictor(config: dict[str, str], seed: int, out: str) -> int:
     scenario = _scenario_from_config(config)
     pred_config = apply_overrides(predictor.PredictorConfig(),
                                   _split_prefixed(config, "predictor."))
-    pred_config.validate()
     horizon = _parse_horizon_weights(config, len(pred_config.temporal_offsets))
     out_dir = _out_dir(out)
 
@@ -170,7 +169,6 @@ def cmd_evolve(config: dict[str, str], seed: int, out: str) -> int:
     scenario = _scenario_from_config(config)
     evo_config = apply_overrides(neat.EvolutionConfig(),
                                  _split_prefixed(config, "evolution."))
-    evo_config.validate()
     model_path = _require_model(config)
     net, _ = predictor.load_predictor(model_path)
     horizon = _parse_horizon_weights(config, net.n_offsets)
@@ -248,14 +246,17 @@ def cmd_evaluate(config: dict[str, str], seed: int, out: str) -> int:
         values = fitness[label] = []
         for i, ep_seed in enumerate(episode_seeds):
             record = policy.run_episode(env, ep_seed, net, provider, horizon,
-                                        collect_trace=write_traces and i == 0)
+                                        log_steps=write_traces and i == 0)
             fit = episode_fitness(record, scenario)
             values.append(fit)
             fitness_rows.append((label, spec, i, ep_seed, repr(fit)))
-            if write_traces and i == 0:
+            if record.log is not None:
+                steps = zip(record.log.actions, record.log.measurements,
+                            record.log.positions)
                 extra_outputs.append(_write_csv(
                     out_dir / f"trace_{label.replace('#', '_')}.csv",
-                    TRACE_HEADER, record.trace))
+                    TRACE_HEADER, ((t, ACTION_NAMES[a], *m, *xy)
+                                   for t, (a, m, xy) in enumerate(steps))))
 
     fitness_path = _write_csv(out_dir / FITNESS_FILE,
                               ("provider", "spec", "episode", "seed", "fitness"),
@@ -303,7 +304,7 @@ class SweepSpec:
     health_default: int = 60
     kills_default: int = 5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_bounds(self)
         for axis in ("ammo", "health", "kills"):
             if getattr(self, f"{axis}_min") > getattr(self, f"{axis}_max"):
@@ -336,7 +337,6 @@ def sweep_rows(net: goal_net.FeedForwardNet, spec: SweepSpec):
 def cmd_sweep(config: dict[str, str], seed: int, out: str) -> int:
     """Activate a goal network over measurement grids and dump (m, g) rows."""
     spec = apply_overrides(SweepSpec(), _split_prefixed(config, "sweep."))
-    spec.validate()
     raw_genome = config.get("genome_path")
     if not raw_genome:
         raise ConfigError("config key 'genome_path' is required")

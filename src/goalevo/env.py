@@ -73,9 +73,6 @@ class Measurements:
     health: int
     kills: int
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.ammo, self.health, self.kills], dtype=float)
-
 
 def _normalize_raw(ammo: float, health: float, kills: float) -> np.ndarray:
     a = ammo / AMMO_SCALE
@@ -116,7 +113,7 @@ class ScenarioConfig:
     death_penalty: float = bounded(0.0, 0.0)
     preset_name: str = "original"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_bounds(self)
         if self.n_monsters > 0 and self.monster_health < 1:
             raise ConfigError("monster_health must be >= 1 when monsters exist")
@@ -166,9 +163,7 @@ def scenario_from_overrides(overrides: dict[str, str]) -> ScenarioConfig:
     (default ``original``)."""
     overrides = dict(overrides)
     base = scenario_preset(overrides.pop("preset_name", "original"))
-    cfg = apply_overrides(base, overrides)
-    cfg.validate()
-    return cfg
+    return apply_overrides(base, overrides)
 
 
 @dataclass
@@ -309,7 +304,6 @@ class GridBattleEnv:
     """
 
     def __init__(self, config: ScenarioConfig):
-        config.validate()
         self.config = config
         self.walls: np.ndarray | None = None
         self.rng: np.random.Generator | None = None
@@ -536,14 +530,25 @@ class GridBattleEnv:
 
 
 @dataclass
+class StepLog:
+    """What the agent saw and did at each of an episode's N steps, and its
+    (ammo, health, kills) before each step and after the last."""
+
+    obs: np.ndarray           # (N, D) float32
+    actions: np.ndarray       # (N,) int
+    measurements: np.ndarray  # (N + 1, 3) int
+    positions: np.ndarray     # (N, 2) int agent (x, y)
+
+
+@dataclass
 class EpisodeRecord:
-    """Outcome of one finished episode plus optional per-step trace."""
+    """Outcome of one finished episode plus its optional step log."""
 
     kills: int
     died: bool
     steps: int
     goal_sum: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    trace: list[tuple] | None = None
+    log: StepLog | None = None
 
 
 def episode_fitness(record, config: ScenarioConfig) -> float:

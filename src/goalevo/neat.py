@@ -22,6 +22,7 @@ from .configio import ConfigError, bounded, check_bounds
 from .env import GridBattleEnv, ScenarioConfig, episode_fitness
 from .goal_net import (ConnGene, Genome, GenomeCycleError, NodeGene,
                        INPUT_IDS, OUTPUT_IDS)
+from .policy import NetworkGoal, run_episode
 from .seeds import derive_seed
 
 
@@ -48,7 +49,7 @@ class EvolutionConfig:
     survival_fraction: float = bounded(0.2, 0.0, 1.0, open_lo=True)
     n_workers: int = bounded(1, 0)  # 0 = one per CPU
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_bounds(self)
         if self.weight_min >= self.weight_max:
             raise ConfigError("weight_min must be below weight_max")
@@ -304,8 +305,6 @@ def evaluate(genome: Genome, predictor, scenario: ScenarioConfig, seed: int,
     """Run the genome's goal network over full episodes with the frozen
     predictor; episode seeds derive from (seed, episode index) so every genome
     given the same seed faces the same worlds."""
-    from .policy import NetworkGoal, run_episode
-
     try:
         net = goal_net.decode(genome)
     except GenomeCycleError:
@@ -423,7 +422,6 @@ def evolve_against(config: EvolutionConfig, fitness_fn, seed: int,
     how a whole population is evaluated (e.g. a process pool) but must keep
     input order.
     """
-    config.validate()
     rng = np.random.default_rng(derive_seed(seed, 11))
     registry = InnovationRegistry()
     key_counter = itertools.count()

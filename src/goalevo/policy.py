@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import goal_net
-from .env import (ACTION_NAMES, EpisodeRecord, GridBattleEnv, Measurements,
-                  normalize_measurements)
+from .env import (N_ACTIONS, EpisodeRecord, GridBattleEnv, Measurements,
+                  StepLog, normalize_measurements)
 
 # Aggressive default goal: some weight on ammo and health, full weight on kills.
 STATIC_GOAL = (0.5, 0.5, 1.0)
@@ -26,15 +26,10 @@ DEFENSIVE_GOAL = (1.0, 1.0, -1.0)
 
 HARDCODED_HEALTH_THRESHOLD = 50  # strict: retreat only when health < 50
 
-# One weight per temporal offset, emphasizing the longer horizons (the
-# documented default for the standard six offsets).
-DEFAULT_HORIZON_WEIGHTS = (0.0, 0.0, 0.0, 0.5, 0.5, 1.0)
-
-
 def default_horizon_weights(n_offsets: int) -> tuple[float, ...]:
     """Long-horizon emphasis for any offset count: the last offset weighs 1,
-    the two before it 0.5, the rest 0. Reproduces DEFAULT_HORIZON_WEIGHTS
-    for six offsets."""
+    the two before it 0.5, the rest 0: (0, 0, 0, 0.5, 0.5, 1) for the six
+    default offsets."""
     if n_offsets < 1:
         raise ValueError("need at least one temporal offset")
     w = [0.0] * n_offsets
@@ -128,34 +123,44 @@ def goal_spec_label(spec: str) -> str:
 
 
 def run_episode(env: GridBattleEnv, seed: int, net, provider,
-                horizon_weights=None,
-                collect_trace: bool = False) -> EpisodeRecord:
-    """Roll one full episode with goal-conditioned action selection.
-
-    The provider is queried on the current measurements every step, so goals
-    may change mid-episode.
-    """
+                horizon_weights=None, epsilon: float = 0.0,
+                rng: np.random.Generator | None = None,
+                log_steps: bool = False) -> EpisodeRecord:
+    """Roll one full episode with goal-conditioned action selection. The
+    provider is queried on the current measurements every step, so goals may
+    change mid-episode. Given ``rng``, each step draws ``rng.random()``, even
+    at ``epsilon`` 0, and acts at random when the draw is below ``epsilon``.
+    ``log_steps`` keeps a StepLog of the episode in the record."""
     if horizon_weights is None:
         horizon_weights = default_horizon_weights(net.n_offsets)
     horizon_weights = np.asarray(horizon_weights, dtype=float)
     env.reset(seed)
     goal_sum = np.zeros(3)
-    trace = [] if collect_trace else None
+    rows = []
     done = False
     while not done:
         m = env.measurements
         g = provider(m)
         goal_sum += g
         obs = env.observe()
-        action = select_action(net, obs, m, g, horizon_weights)
-        if collect_trace:
-            trace.append((env.steps, ACTION_NAMES[action], m.ammo,
-                          m.health, m.kills, env.agent_col, env.agent_row))
+        if rng is not None and rng.random() < epsilon:
+            action = int(rng.integers(N_ACTIONS))
+        else:
+            action = select_action(net, obs, m, g, horizon_weights)
+        if log_steps:
+            rows.append((obs.astype(np.float32), action,
+                         (m.ammo, m.health, m.kills),
+                         (env.agent_col, env.agent_row)))
         _, done = env.step(action)
+    log = None
+    if log_steps:
+        obs, actions, measurements, positions = map(np.array, zip(*rows))
+        log = StepLog(obs, actions, np.vstack(
+            [measurements, (env.ammo, env.health, env.kills)]), positions)
     return EpisodeRecord(
         kills=env.kills,
         died=not env.alive,
         steps=env.steps,
         goal_sum=goal_sum,
-        trace=trace,
+        log=log,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ import numpy as np
 from .configio import ConfigError, bounded, check_bounds
 from .env import (DEFAULT_OBS_RADIUS, MEASUREMENT_SCALES, N_ACTIONS,
                   Measurements, normalize_measurements, observation_size)
+from .policy import StaticGoal, run_episode
 from .seeds import derive_seed
 
 DEFAULT_OFFSETS = (1, 2, 4, 8, 16, 32)
@@ -46,7 +47,7 @@ class PredictorConfig:
     training_episodes: int = bounded(2000, 1)
     train_interval: int = bounded(8, 1)  # env steps per gradient step
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_bounds(self)
         offs = self.temporal_offsets
         if not offs or any(b <= a for a, b in zip(offs, offs[1:])):
@@ -332,9 +333,8 @@ class EpochStats:
     episode: int
     loss: float  # mean update loss during the episode; NaN if no updates ran
     epsilon: float
-    goal: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    action_counts: np.ndarray = field(default_factory=lambda: np.zeros(N_ACTIONS,
-                                                                       dtype=int))
+    goal: np.ndarray
+    action_counts: np.ndarray
 
 
 def epsilon_at(step: int, start: float, end: float, decay_steps: int) -> float:
@@ -349,14 +349,7 @@ def collect_and_train(env_factory, config: PredictorConfig, seed: int,
 
     Returns the trained net and one EpochStats per episode.
     """
-    from .policy import default_horizon_weights, select_action
-
-    config.validate()
-    if horizon_weights is None:
-        horizon_weights = default_horizon_weights(len(config.temporal_offsets))
-    horizon_weights = np.asarray(horizon_weights, dtype=float)
     env = env_factory()
-    decay_episodes = max(1, config.training_episodes // 2)
 
     net = PredictorNet(
         observation_size(DEFAULT_OBS_RADIUS),
@@ -369,41 +362,28 @@ def collect_and_train(env_factory, config: PredictorConfig, seed: int,
     rng = np.random.default_rng(derive_seed(seed, 1))
     replay = ReplayBuffer(config.replay_capacity)
 
-    log: list[EpochStats] = []
+    history: list[EpochStats] = []
     for ep in range(config.training_episodes):
         goal = rng.uniform(-1.0, 1.0, size=3)
-        env.reset(derive_seed(seed, 2, ep))
-        observations, actions = [], []
-        m_raw = [env.measurements.as_array()]
-        action_counts = np.zeros(N_ACTIONS, dtype=int)
         eps = epsilon_at(ep, config.epsilon_start, config.epsilon_end,
-                         decay_episodes)
-        done = False
-        while not done:
-            obs = env.observe()
-            m = env.measurements
-            if rng.random() < eps:
-                action = int(rng.integers(N_ACTIONS))
-            else:
-                action = select_action(net, obs, m, goal, horizon_weights)
-            observations.append(obs)
-            actions.append(action)
-            action_counts[action] += 1
-            m, done = env.step(action)
-            m_raw.append(m.as_array())
-        replay.extend(episode_to_samples(observations, m_raw, goal, actions,
-                                         config.temporal_offsets))
+                         config.training_episodes // 2)
+        log = run_episode(env, derive_seed(seed, 2, ep), net,
+                          StaticGoal(tuple(goal)), horizon_weights,
+                          epsilon=eps, rng=rng, log_steps=True).log
+        replay.extend(episode_to_samples(log.obs, log.measurements, goal,
+                                         log.actions, config.temporal_offsets))
         losses = []
         if len(replay) >= config.batch_size:
-            for _ in range(max(1, len(actions) // config.train_interval)):
+            for _ in range(max(1, len(log.actions) // config.train_interval)):
                 losses.append(train_step(net, replay.sample(rng,
                                                             config.batch_size)))
         stats = EpochStats(ep, float(np.mean(losses)) if losses else float("nan"),
-                           eps, goal=goal, action_counts=action_counts)
-        log.append(stats)
+                           eps, goal, np.bincount(log.actions,
+                                                  minlength=N_ACTIONS))
+        history.append(stats)
         if progress is not None:
             progress(stats)
-    return net, log
+    return net, history
 
 
 # -- persistence --------------------------------------------------------------

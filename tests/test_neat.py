@@ -52,21 +52,21 @@ def test_defaults_match_documented_parameters():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        EvolutionConfig(population_size=1).validate()
+        EvolutionConfig(population_size=1)
     with pytest.raises(ConfigError):
-        EvolutionConfig(survival_fraction=0.0).validate()
+        EvolutionConfig(survival_fraction=0.0)
     with pytest.raises(ConfigError):
-        EvolutionConfig(weight_min=5.0, weight_max=-5.0).validate()
+        EvolutionConfig(weight_min=5.0, weight_max=-5.0)
     with pytest.raises(ConfigError):
-        EvolutionConfig(elitism=-1).validate()
+        EvolutionConfig(elitism=-1)
     with pytest.raises(ConfigError):
-        EvolutionConfig(n_workers=-3).validate()
-    EvolutionConfig(elitism=0, n_workers=0).validate()
+        EvolutionConfig(n_workers=-3)
+    EvolutionConfig(elitism=0, n_workers=0)
     # the ends of the rate, sigma and coefficient ranges are accepted
     EvolutionConfig(**ZERO_RATES, weight_perturb_sigma=0.0, c_excess=0.0,
-                    c_disjoint=0.0, c_weight=0.0).validate()
+                    c_disjoint=0.0, c_weight=0.0)
     EvolutionConfig(**{name: 1.0 for name in ZERO_RATES},
-                    compatibility_threshold=1e-9).validate()
+                    compatibility_threshold=1e-9)
 
 
 # -- genomes and registry -------------------------------------------------------

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from goalevo import goal_net
 from goalevo.env import GridBattleEnv, Measurements, episode_fitness
 from goalevo.goal_net import ConnGene, Genome, NodeGene
-from goalevo.policy import (DEFAULT_HORIZON_WEIGHTS, HardcodedGoal,
-                            NetworkGoal, StaticGoal,
+from goalevo.policy import (HardcodedGoal, NetworkGoal, StaticGoal,
                             action_utilities, default_horizon_weights,
                             goal_spec_label, parse_goal_spec, run_episode,
                             select_action)
@@ -109,7 +108,7 @@ def test_select_action_deterministic_on_ties():
 
 
 def test_default_horizon_weights_shapes():
-    assert default_horizon_weights(6) == DEFAULT_HORIZON_WEIGHTS
+    assert default_horizon_weights(6) == (0.0, 0.0, 0.0, 0.5, 0.5, 1.0)
     assert default_horizon_weights(1) == (1.0,)
     assert default_horizon_weights(2) == (0.5, 1.0)
     assert default_horizon_weights(4) == (0.0, 0.5, 0.5, 1.0)
@@ -198,15 +197,65 @@ def test_run_episode_record_consistency():
     scenario = make_scenario(episode_length=60)
     env = GridBattleEnv(scenario)
     net = PredictorNet(327, rng=np.random.default_rng(0))
-    record = run_episode(env, 4, net, StaticGoal(), collect_trace=True)
-    assert record.steps == len(record.trace)
+    record = run_episode(env, 4, net, StaticGoal(), log_steps=True)
+    assert record.steps == len(record.log.actions)
     assert record.kills == env.kills
     assert record.died == (not env.alive)
     np.testing.assert_allclose(record.goal_sum / record.steps, [0.5, 0.5, 1.0])
-    # trace rows carry (step, action name, ammo, health, kills, x, y)
-    step0 = record.trace[0]
-    assert step0[0] == 0 and step0[2] == 20 and step0[3] == 100
+    # the log starts from the reset measurements (ammo, health, kills)
+    assert tuple(record.log.measurements[0]) == (20, 100, 0)
     assert episode_fitness(record, scenario) == record.kills
+
+
+def test_run_episode_explores_with_the_rng_draws_in_order():
+    env = GridBattleEnv(make_scenario(episode_length=40))
+    net = PredictorNet(327, rng=np.random.default_rng(2))
+    rng = np.random.default_rng(5)
+    record = run_episode(env, 3, net, StaticGoal(), epsilon=1.0, rng=rng,
+                         log_steps=True)
+    replay = np.random.default_rng(5)
+    expected = []
+    for _ in range(record.steps):
+        assert replay.random() < 1.0
+        expected.append(int(replay.integers(6)))
+    assert record.log.actions.tolist() == expected
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def test_run_episode_draws_once_per_step_at_epsilon_zero():
+    scenario = make_scenario(episode_length=40)
+    net = PredictorNet(327, rng=np.random.default_rng(2))
+    greedy = run_episode(GridBattleEnv(scenario), 3, net, StaticGoal(),
+                         log_steps=True)
+    rng = np.random.default_rng(6)
+    record = run_episode(GridBattleEnv(scenario), 3, net, StaticGoal(),
+                         epsilon=0.0, rng=rng, log_steps=True)
+    np.testing.assert_array_equal(record.log.actions, greedy.log.actions)
+    replay = np.random.default_rng(6)
+    for _ in range(record.steps):
+        replay.random()
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def test_step_log_spans_reset_to_final_measurements():
+    env = GridBattleEnv(make_scenario(episode_length=50))
+    net = PredictorNet(327, rng=np.random.default_rng(3))
+    start = env.reset(8)
+    first_obs = env.observe()
+    first_position = (env.agent_col, env.agent_row)
+    log = run_episode(env, 8, net, HardcodedGoal(), log_steps=True).log
+    n = len(log.actions)
+    assert n == env.steps
+    assert log.obs.shape == (n, 327) and log.obs.dtype == np.float32
+    assert log.measurements.shape == (n + 1, 3)
+    assert log.positions.shape == (n, 2)
+    assert tuple(log.measurements[0]) == (start.ammo, start.health,
+                                          start.kills)
+    final = env.measurements
+    assert tuple(log.measurements[-1]) == (final.ammo, final.health,
+                                           final.kills)
+    np.testing.assert_array_equal(log.obs[0], first_obs.astype(np.float32))
+    assert tuple(log.positions[0]) == first_position
 
 
 def test_run_episode_deterministic():
@@ -219,5 +268,6 @@ def test_run_episode_deterministic():
         final_measurements.append(env.measurements)
     a, b = records
     assert (a.kills, a.died, a.steps) == (b.kills, b.died, b.steps)
+    assert a.log is None  # unlogged by default
     assert final_measurements[0] == final_measurements[1]
     np.testing.assert_array_equal(a.goal_sum, b.goal_sum)

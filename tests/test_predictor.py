@@ -456,14 +456,14 @@ def test_epsilon_schedule_endpoints():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        PredictorConfig(temporal_offsets=()).validate()
+        PredictorConfig(temporal_offsets=())
     with pytest.raises(ConfigError):
-        PredictorConfig(temporal_offsets=(2, 1)).validate()
+        PredictorConfig(temporal_offsets=(2, 1))
     with pytest.raises(ConfigError):
-        PredictorConfig(temporal_offsets=(0, 1)).validate()
+        PredictorConfig(temporal_offsets=(0, 1))
     with pytest.raises(ConfigError):
-        PredictorConfig(replay_capacity=10, batch_size=64).validate()
-    PredictorConfig().validate()
+        PredictorConfig(replay_capacity=10, batch_size=64)
+    PredictorConfig()
 
 
 # -- collection loop ----------------------------------------------------------------
@@ -508,14 +508,15 @@ def test_training_halves_held_out_loss():
     for ep in range(4):
         env.reset(1000 + ep)
         obs_list, actions = [], []
-        m_raw = [env.measurements.as_array()]
+        m = env.measurements
+        m_raw = [(m.ammo, m.health, m.kills)]
         done = False
         while not done:
             obs_list.append(env.observe())
             a = int(rng.integers(6))
             actions.append(a)
             m, done = env.step(a)
-            m_raw.append(m.as_array())
+            m_raw.append((m.ammo, m.health, m.kills))
         episodes.append(episode_to_samples(obs_list, m_raw,
                                            rng.uniform(-1, 1, 3), actions,
                                            offsets))

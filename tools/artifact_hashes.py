@@ -10,9 +10,11 @@ directory. The output is one ``sha256  artifact`` line per file, manifests
 included, so two checkouts that must write identical artifacts can be
 compared with ``diff``. The commands cover every CSV the program writes,
 the model file, the genome file, goal networks with hidden nodes, a
-training run whose replay ring wraps, and an evaluation on ``hard`` where
-agents die: death-penalty fitness values, a provider listed twice (label
-``hardcoded#2``, trace ``trace_hardcoded_2.csv``) and rank tests with ties.
+training run whose replay ring wraps, a greedy training run (epsilon 0,
+where each step still draws from the training generator), and an
+evaluation on ``hard`` where agents die: death-penalty fitness values, a
+provider listed twice (label ``hardcoded#2``, trace
+``trace_hardcoded_2.csv``) and rank tests with ties.
 """
 
 from __future__ import annotations
@@ -39,6 +41,13 @@ RUNS = (
      "predictor.train_interval = 4\n"
      "predictor.replay_capacity = 700\n"
      "predictor.batch_size = 32\n"),
+    # epsilon 0 throughout: every action is greedy, and each step still
+    # draws once from the training generator
+    ("train_greedy", "train-predictor",
+     "predictor.training_episodes = 4\n"
+     "predictor.train_interval = 3\n"
+     "predictor.epsilon_start = 0\n"
+     "predictor.epsilon_end = 0\n"),
     ("evolve_hard", "evolve",
      "scenario.preset_name = hard\n"
      f"predictor_path = {PREDICTOR}\n"
