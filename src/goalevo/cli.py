@@ -245,18 +245,21 @@ def cmd_evaluate(config: dict[str, str], seed: int, out: str) -> int:
     for label, spec, provider in providers:
         values = fitness[label] = []
         for i, ep_seed in enumerate(episode_seeds):
-            record = policy.run_episode(env, ep_seed, net, provider, horizon,
-                                        log_steps=write_traces and i == 0)
-            fit = episode_fitness(record, scenario)
-            values.append(fit)
-            fitness_rows.append((label, spec, i, ep_seed, repr(fit)))
-            if record.log is not None:
-                steps = zip(record.log.actions, record.log.measurements,
-                            record.log.positions)
+            steps = policy.play_episode(env, ep_seed, net, provider, horizon)
+            if write_traces and i == 0:
+                # each row reads the env while the episode is paused there
                 extra_outputs.append(_write_csv(
                     out_dir / f"trace_{label.replace('#', '_')}.csv",
-                    TRACE_HEADER, ((t, ACTION_NAMES[a], *m, *xy)
-                                   for t, (a, m, xy) in enumerate(steps))))
+                    TRACE_HEADER,
+                    ((t, ACTION_NAMES[a], m.ammo, m.health, m.kills,
+                      env.agent_col, env.agent_row)
+                     for t, (_, m, _, a) in enumerate(steps))))
+            else:
+                for _ in steps:  # play the episode out
+                    pass
+            fit = episode_fitness(env)
+            values.append(fit)
+            fitness_rows.append((label, spec, i, ep_seed, repr(fit)))
 
     fitness_path = _write_csv(out_dir / FITNESS_FILE,
                               ("provider", "spec", "episode", "seed", "fitness"),

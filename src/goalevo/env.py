@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,8 @@ ACTION_NAMES = ("move_forward", "turn_left", "turn_right", "move_backward",
 HEADING_VECS = ((-1, 0), (0, 1), (1, 0), (0, -1))
 
 ATTACK_RANGE = 5  # cells of straight line of sight along the heading
-DEFAULT_OBS_RADIUS = 4
+OBS_RADIUS = 4  # the egocentric window is (2 * OBS_RADIUS + 1) cells square
+OBS_SIDE = 2 * OBS_RADIUS + 1
 MONSTER_ADVANCE_PROB = 0.5
 MONSTER_AGGRO_RADIUS = 6  # monsters only home within this Chebyshev range
 RESPAWN_MIN_DIST = 6  # Chebyshev distance from agent for monster respawns
@@ -265,35 +266,19 @@ def _initial_world(cfg: ScenarioConfig, seed: int):
             tuple(monster_cells), items, rng.bit_generator.state)
 
 
-@functools.cache
-def _window_offsets(radius: int) -> list[np.ndarray]:
-    """Per-heading world offsets for each egocentric window cell.
-
-    Window rows run front-to-back, columns left-to-right from the agent's
-    point of view; the agent sits at the center cell.
-    """
-    side = 2 * radius + 1
-    per_heading = []
-    for h in range(4):
-        f = HEADING_VECS[h]
-        r = HEADING_VECS[(h + 1) % 4]
-        offs = np.empty((side * side, 2), dtype=np.int64)
-        i = 0
-        for wr in range(side):
-            a = radius - wr  # cells ahead
-            for wc in range(side):
-                b = wc - radius  # cells to the right
-                offs[i, 0] = a * f[0] + b * r[0]
-                offs[i, 1] = a * f[1] + b * r[1]
-                i += 1
-        per_heading.append(offs)
-    return per_heading
+# World (row, col) offsets of the egocentric window cells, per heading. Window
+# rows run front-to-back, columns left-to-right from the agent's point of
+# view; the agent sits at the center cell.
+_cells = np.arange(OBS_SIDE * OBS_SIDE)
+_WINDOW_OFFSETS = tuple(
+    np.outer(OBS_RADIUS - _cells // OBS_SIDE, HEADING_VECS[h])
+    + np.outer(_cells % OBS_SIDE - OBS_RADIUS, HEADING_VECS[(h + 1) % 4])
+    for h in range(4))
 
 
-def observation_size(radius: int = DEFAULT_OBS_RADIUS) -> int:
+def observation_size() -> int:
     """Length of the observation vector: 4 occupancy channels + 3 measurements."""
-    side = 2 * radius + 1
-    return 4 * side * side + 3
+    return 4 * OBS_SIDE * OBS_SIDE + 3
 
 
 class GridBattleEnv:
@@ -489,13 +474,12 @@ class GridBattleEnv:
 
     # -- observation -------------------------------------------------------
 
-    def observe(self, radius: int = DEFAULT_OBS_RADIUS) -> np.ndarray:
+    def observe(self) -> np.ndarray:
         """Egocentric occupancy channels (wall, monster, ammo, health kit)
         rotated to the agent's heading, plus normalized measurements."""
-        offs = _window_offsets(radius)
-        side = 2 * radius + 1
+        radius, side = OBS_RADIUS, OBS_SIDE
         n = side * side
-        off = offs[self.heading]
+        off = _WINDOW_OFFSETS[self.heading]
         rows = self.agent_row + off[:, 0]
         cols = self.agent_col + off[:, 1]
         inb = ((rows >= 0) & (rows < self.config.grid_height)
@@ -526,31 +510,9 @@ class GridBattleEnv:
         return vec
 
 
-# -- episode records and fitness -------------------------------------------
+# -- fitness ----------------------------------------------------------------
 
 
-@dataclass
-class StepLog:
-    """What the agent saw and did at each of an episode's N steps, and its
-    (ammo, health, kills) before each step and after the last."""
-
-    obs: np.ndarray           # (N, D) float32
-    actions: np.ndarray       # (N,) int
-    measurements: np.ndarray  # (N + 1, 3) int
-    positions: np.ndarray     # (N, 2) int agent (x, y)
-
-
-@dataclass
-class EpisodeRecord:
-    """Outcome of one finished episode plus its optional step log."""
-
-    kills: int
-    died: bool
-    steps: int
-    goal_sum: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    log: StepLog | None = None
-
-
-def episode_fitness(record, config: ScenarioConfig) -> float:
-    """Kills minus the death penalty if the agent died."""
-    return float(record.kills) - (config.death_penalty if record.died else 0.0)
+def episode_fitness(env: GridBattleEnv) -> float:
+    """Kills minus the death penalty if the agent died, in the env's episode."""
+    return float(env.kills) - (0.0 if env.alive else env.config.death_penalty)

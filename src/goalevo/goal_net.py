@@ -60,10 +60,6 @@ class Genome:
         )
 
 
-def clamped(x: float) -> float:
-    return -1.0 if x < -1.0 else (1.0 if x > 1.0 else x)
-
-
 @dataclass
 class FeedForwardNet:
     """Executable phenotype: nodes in dependency order with dense indices."""

@@ -22,7 +22,7 @@ from .configio import ConfigError, bounded, check_bounds
 from .env import GridBattleEnv, ScenarioConfig, episode_fitness
 from .goal_net import (ConnGene, Genome, GenomeCycleError, NodeGene,
                        INPUT_IDS, OUTPUT_IDS)
-from .policy import NetworkGoal, run_episode
+from .policy import NetworkGoal, play_episode
 from .seeds import derive_seed
 
 
@@ -301,7 +301,8 @@ class EvalResult:
 
 
 def evaluate(genome: Genome, predictor, scenario: ScenarioConfig, seed: int,
-             episodes_per_eval: int = 8, horizon_weights=None) -> EvalResult:
+             episodes_per_eval: int = EvolutionConfig.episodes_per_eval,
+             horizon_weights=None) -> EvalResult:
     """Run the genome's goal network over full episodes with the frozen
     predictor; episode seeds derive from (seed, episode index) so every genome
     given the same seed faces the same worlds."""
@@ -317,11 +318,13 @@ def evaluate(genome: Genome, predictor, scenario: ScenarioConfig, seed: int,
     goal_sum = np.zeros(3)
     steps = 0
     for i in range(episodes_per_eval):
-        record = run_episode(env, derive_seed(seed, i), predictor, provider,
-                             horizon_weights)
-        fits.append(episode_fitness(record, scenario))
-        goal_sum += record.goal_sum
-        steps += record.steps
+        # each episode's goals are summed first: the logged mean goal
+        # depends on that order, bit for bit
+        goal_sum += sum((g for _, _, g, _ in play_episode(
+            env, derive_seed(seed, i), predictor, provider, horizon_weights)),
+            np.zeros(3))
+        fits.append(episode_fitness(env))
+        steps += env.steps
     mean_goal = goal_sum / steps if steps else np.zeros(3)
     return EvalResult(fits, float(np.mean(fits)), mean_goal, steps)
 

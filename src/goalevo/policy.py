@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import goal_net
-from .env import (N_ACTIONS, EpisodeRecord, GridBattleEnv, Measurements,
-                  StepLog, normalize_measurements)
+from .env import N_ACTIONS, GridBattleEnv, Measurements, normalize_measurements
 
 # Aggressive default goal: some weight on ammo and health, full weight on kills.
 STATIC_GOAL = (0.5, 0.5, 1.0)
@@ -122,45 +121,28 @@ def goal_spec_label(spec: str) -> str:
 # -- episode rollout ---------------------------------------------------------
 
 
-def run_episode(env: GridBattleEnv, seed: int, net, provider,
-                horizon_weights=None, epsilon: float = 0.0,
-                rng: np.random.Generator | None = None,
-                log_steps: bool = False) -> EpisodeRecord:
-    """Roll one full episode with goal-conditioned action selection. The
-    provider is queried on the current measurements every step, so goals may
-    change mid-episode. Given ``rng``, each step draws ``rng.random()``, even
-    at ``epsilon`` 0, and acts at random when the draw is below ``epsilon``.
-    ``log_steps`` keeps a StepLog of the episode in the record."""
+def play_episode(env: GridBattleEnv, seed: int, net, provider,
+                 horizon_weights=None, epsilon: float = 0.0,
+                 rng: np.random.Generator | None = None):
+    """Play one full episode with goal-conditioned action selection, yielding
+    ``(obs, m, g, action)`` before each step, so the env shows that step's
+    state while the caller holds it; once exhausted, the env holds the
+    finished episode. The provider is queried on the current measurements
+    every step, so goals may change mid-episode. Given ``rng``, each step
+    draws ``rng.random()``, even at ``epsilon`` 0, and acts at random when
+    the draw is below ``epsilon``."""
     if horizon_weights is None:
         horizon_weights = default_horizon_weights(net.n_offsets)
     horizon_weights = np.asarray(horizon_weights, dtype=float)
     env.reset(seed)
-    goal_sum = np.zeros(3)
-    rows = []
     done = False
     while not done:
         m = env.measurements
         g = provider(m)
-        goal_sum += g
         obs = env.observe()
         if rng is not None and rng.random() < epsilon:
             action = int(rng.integers(N_ACTIONS))
         else:
             action = select_action(net, obs, m, g, horizon_weights)
-        if log_steps:
-            rows.append((obs.astype(np.float32), action,
-                         (m.ammo, m.health, m.kills),
-                         (env.agent_col, env.agent_row)))
+        yield obs, m, g, action
         _, done = env.step(action)
-    log = None
-    if log_steps:
-        obs, actions, measurements, positions = map(np.array, zip(*rows))
-        log = StepLog(obs, actions, np.vstack(
-            [measurements, (env.ammo, env.health, env.kills)]), positions)
-    return EpisodeRecord(
-        kills=env.kills,
-        died=not env.alive,
-        steps=env.steps,
-        goal_sum=goal_sum,
-        log=log,
-    )

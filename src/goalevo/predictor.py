@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .configio import ConfigError, bounded, check_bounds
-from .env import (DEFAULT_OBS_RADIUS, MEASUREMENT_SCALES, N_ACTIONS,
-                  Measurements, normalize_measurements, observation_size)
-from .policy import StaticGoal, run_episode
+from .env import (MEASUREMENT_SCALES, N_ACTIONS, Measurements,
+                  normalize_measurements, observation_size)
+from .policy import StaticGoal, play_episode
 from .seeds import derive_seed
 
 DEFAULT_OFFSETS = (1, 2, 4, 8, 16, 32)
@@ -352,7 +352,7 @@ def collect_and_train(env_factory, config: PredictorConfig, seed: int,
     env = env_factory()
 
     net = PredictorNet(
-        observation_size(DEFAULT_OBS_RADIUS),
+        observation_size(),
         offsets=config.temporal_offsets,
         hidden_sizes=config.hidden_sizes,
         learning_rate=config.learning_rate,
@@ -367,19 +367,23 @@ def collect_and_train(env_factory, config: PredictorConfig, seed: int,
         goal = rng.uniform(-1.0, 1.0, size=3)
         eps = epsilon_at(ep, config.epsilon_start, config.epsilon_end,
                          config.training_episodes // 2)
-        log = run_episode(env, derive_seed(seed, 2, ep), net,
-                          StaticGoal(tuple(goal)), horizon_weights,
-                          epsilon=eps, rng=rng, log_steps=True).log
-        replay.extend(episode_to_samples(log.obs, log.measurements, goal,
-                                         log.actions, config.temporal_offsets))
+        observations, measurements, actions = [], [], []
+        for obs, m, _, action in play_episode(
+                env, derive_seed(seed, 2, ep), net, StaticGoal(tuple(goal)),
+                horizon_weights, epsilon=eps, rng=rng):
+            observations.append(obs.astype(np.float32))
+            measurements.append((m.ammo, m.health, m.kills))
+            actions.append(action)
+        measurements.append((env.ammo, env.health, env.kills))
+        replay.extend(episode_to_samples(observations, measurements, goal,
+                                         actions, config.temporal_offsets))
         losses = []
         if len(replay) >= config.batch_size:
-            for _ in range(max(1, len(log.actions) // config.train_interval)):
+            for _ in range(max(1, len(actions) // config.train_interval)):
                 losses.append(train_step(net, replay.sample(rng,
                                                             config.batch_size)))
         stats = EpochStats(ep, float(np.mean(losses)) if losses else float("nan"),
-                           eps, goal, np.bincount(log.actions,
-                                                  minlength=N_ACTIONS))
+                           eps, goal, np.bincount(actions, minlength=N_ACTIONS))
         history.append(stats)
         if progress is not None:
             progress(stats)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from goalevo import cli, goal_net
 from goalevo.configio import ConfigError
-from goalevo.env import ACTION_NAMES, ScenarioConfig
+from goalevo.env import ACTION_NAMES, GridBattleEnv, ScenarioConfig
 from goalevo.goal_net import ConnGene, Genome, NodeGene
 from goalevo.neat import EvolutionConfig
 from goalevo.predictor import PredictorConfig
@@ -250,6 +251,41 @@ def test_evaluate_traces_written_when_requested(tmp_path, trained_model):
     assert numbers[:3] == ["20", "100", "0"]  # the original preset's start
     assert all(0 <= int(v) < 15 for v in numbers[3:])
     assert all(len(row) == 7 for row in trace)
+    # replayed on the episode's seed (seed + 1), each row holds the state
+    # before its step, and the rows end with the episode
+    manifest = json.loads((out / "manifest.json").read_text())
+    env = GridBattleEnv(ScenarioConfig(**manifest["config"]["scenario"]))
+    env.reset(2)
+    done = False
+    for t, (step, action, *numbers) in enumerate(trace[1:]):
+        assert not done and step == str(t)
+        assert [int(v) for v in numbers] == [env.ammo, env.health, env.kills,
+                                             env.agent_col, env.agent_row]
+        _, done = env.step(ACTION_NAMES.index(action))
+    assert done
+
+
+def test_traced_evaluate_keeps_nothing_per_step(tmp_path, trained_model):
+    """Tracing a 400-step episode costs no memory per step: the rows go
+    straight to the file."""
+    peaks = {}
+    # the first run warms the caches; the next two are measured
+    for run, traces in enumerate(("false", "false", "true")):
+        cfg = tmp_path / f"eval{run}.cfg"
+        cfg.write_text(
+            "scenario.grid_width = 15\nscenario.grid_height = 15\n"
+            "scenario.n_monsters = 0\nscenario.episode_length = 400\n"
+            f"predictor_path = {trained_model}\nproviders = defensive\n"
+            f"evaluation_episodes = 1\nwrite_traces = {traces}\n")
+        tracemalloc.start()
+        try:
+            assert cli.main(["evaluate", "--config", str(cfg), "--seed", "1",
+                             "--out", str(tmp_path / f"out{run}")]) == 0
+            peaks[traces] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(read_csv(tmp_path / "out2" / "trace_defensive.csv")) == 401
+    assert peaks["true"] - peaks["false"] <= 64 * 1024
 
 
 def test_evaluate_write_traces_accepts_yes(tmp_path, trained_model):

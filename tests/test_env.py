@@ -473,8 +473,7 @@ def test_no_ammo_episode_never_gains_ammo():
 
 
 def test_observation_size_formula():
-    assert observation_size(4) == 4 * 81 + 3
-    assert observation_size(1) == 4 * 9 + 3
+    assert observation_size() == 4 * 81 + 3  # a radius-4 window
 
 
 def test_empty_window_is_all_zero_with_full_health_endpoints():
@@ -561,20 +560,24 @@ def test_normalization_scales_and_clipping():
 # -- fitness and interfaces -------------------------------------------------------
 
 
-def _record(kills, died):
-    return env_mod.EpisodeRecord(kills=kills, died=died, steps=100)
+def _finished(scenario, kills, died):
+    """An env holding an episode that ended with these kills."""
+    env = GridBattleEnv(scenario)
+    env.reset(0)
+    env.kills, env.alive = kills, not died
+    return env
 
 
 def test_fitness_original_no_death_penalty():
-    assert episode_fitness(_record(12, died=True), original_scenario()) == 12.0
+    assert episode_fitness(_finished(original_scenario(), 12, True)) == 12.0
 
 
 def test_fitness_hard_death_penalty():
-    assert episode_fitness(_record(5, died=True), hard_scenario()) == -95.0
+    assert episode_fitness(_finished(hard_scenario(), 5, True)) == -95.0
 
 
 def test_fitness_hard_survivor():
-    assert episode_fitness(_record(0, died=False), hard_scenario()) == 0.0
+    assert episode_fitness(_finished(hard_scenario(), 0, False)) == 0.0
 
 
 def test_scenario_file_roundtrip(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goalevo.goal_net import (ConnGene, FeedForwardNet, Genome,
-                              GenomeCycleError, NodeGene, activate, clamped,
+                              GenomeCycleError, NodeGene, activate,
                               decode, genome_from_text, genome_to_text,
                               load_genome, save_genome,
                               INPUT_IDS, OUTPUT_IDS)
@@ -19,6 +19,11 @@ def base_nodes(out_biases=(0.0, 0.0, 0.0)):
     nodes = [NodeGene(i, 0.0, "in") for i in INPUT_IDS]
     nodes += [NodeGene(oid, b, "out") for oid, b in zip(OUTPUT_IDS, out_biases)]
     return nodes
+
+
+def clamped(x: float) -> float:
+    """The neuron response: the identity clipped to [-1, 1]."""
+    return -1.0 if x < -1.0 else (1.0 if x > 1.0 else x)
 
 
 def naive_eval(genome, inputs):

@@ -324,7 +324,7 @@ def test_evaluate_deterministic(registry, rng):
 
 def test_evaluate_zero_goal_genome_matches_manual_rollout(registry):
     from goalevo.env import GridBattleEnv, episode_fitness
-    from goalevo.policy import NetworkGoal, run_episode
+    from goalevo.policy import NetworkGoal, play_episode
     from goalevo.seeds import derive_seed
 
     scenario = make_scenario(episode_length=30)
@@ -335,9 +335,11 @@ def test_evaluate_zero_goal_genome_matches_manual_rollout(registry):
     result = evaluate(genome, net, scenario, seed=9, episodes_per_eval=3)
     provider = NetworkGoal(goal_net.decode(genome))
     env = GridBattleEnv(scenario)
-    expected = [episode_fitness(run_episode(env, derive_seed(9, i), net,
-                                            provider), scenario)
-                for i in range(3)]
+    expected = []
+    for i in range(3):
+        for _ in play_episode(env, derive_seed(9, i), net, provider):
+            pass
+        expected.append(episode_fitness(env))
     assert result.fitnesses == expected
     np.testing.assert_array_equal(result.mean_goal, np.zeros(3))
 

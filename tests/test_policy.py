@@ -8,7 +8,7 @@ from goalevo.env import GridBattleEnv, Measurements, episode_fitness
 from goalevo.goal_net import ConnGene, Genome, NodeGene
 from goalevo.policy import (HardcodedGoal, NetworkGoal, StaticGoal,
                             action_utilities, default_horizon_weights,
-                            goal_spec_label, parse_goal_spec, run_episode,
+                            goal_spec_label, parse_goal_spec, play_episode,
                             select_action)
 from goalevo.predictor import PredictorNet
 
@@ -193,81 +193,89 @@ def test_goal_spec_labels():
 # -- rollout ----------------------------------------------------------------------
 
 
-def test_run_episode_record_consistency():
+def test_play_episode_yields_every_step_of_the_episode():
     scenario = make_scenario(episode_length=60)
     env = GridBattleEnv(scenario)
     net = PredictorNet(327, rng=np.random.default_rng(0))
-    record = run_episode(env, 4, net, StaticGoal(), log_steps=True)
-    assert record.steps == len(record.log.actions)
-    assert record.kills == env.kills
-    assert record.died == (not env.alive)
-    np.testing.assert_allclose(record.goal_sum / record.steps, [0.5, 0.5, 1.0])
-    # the log starts from the reset measurements (ammo, health, kills)
-    assert tuple(record.log.measurements[0]) == (20, 100, 0)
-    assert episode_fitness(record, scenario) == record.kills
+    steps = list(play_episode(env, 4, net, StaticGoal()))
+    assert len(steps) == env.steps
+    np.testing.assert_allclose(np.mean([g for _, _, g, _ in steps], axis=0),
+                               [0.5, 0.5, 1.0])
+    # the first step shows the reset measurements (ammo, health, kills)
+    assert steps[0][1] == Measurements(20, 100, 0)
+    assert episode_fitness(env) == env.kills
 
 
 def test_run_episode_explores_with_the_rng_draws_in_order():
     env = GridBattleEnv(make_scenario(episode_length=40))
     net = PredictorNet(327, rng=np.random.default_rng(2))
     rng = np.random.default_rng(5)
-    record = run_episode(env, 3, net, StaticGoal(), epsilon=1.0, rng=rng,
-                         log_steps=True)
+    actions = [a for *_, a in play_episode(env, 3, net, StaticGoal(),
+                                           epsilon=1.0, rng=rng)]
     replay = np.random.default_rng(5)
     expected = []
-    for _ in range(record.steps):
+    for _ in range(env.steps):
         assert replay.random() < 1.0
         expected.append(int(replay.integers(6)))
-    assert record.log.actions.tolist() == expected
+    assert actions == expected
     assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_run_episode_draws_once_per_step_at_epsilon_zero():
     scenario = make_scenario(episode_length=40)
     net = PredictorNet(327, rng=np.random.default_rng(2))
-    greedy = run_episode(GridBattleEnv(scenario), 3, net, StaticGoal(),
-                         log_steps=True)
+    greedy = [a for *_, a in play_episode(GridBattleEnv(scenario), 3, net,
+                                          StaticGoal())]
     rng = np.random.default_rng(6)
-    record = run_episode(GridBattleEnv(scenario), 3, net, StaticGoal(),
-                         epsilon=0.0, rng=rng, log_steps=True)
-    np.testing.assert_array_equal(record.log.actions, greedy.log.actions)
+    actions = [a for *_, a in play_episode(GridBattleEnv(scenario), 3, net,
+                                           StaticGoal(), epsilon=0.0, rng=rng)]
+    assert actions == greedy
     replay = np.random.default_rng(6)
-    for _ in range(record.steps):
+    for _ in range(len(actions)):
         replay.random()
     assert rng.bit_generator.state == replay.bit_generator.state
 
 
-def test_step_log_spans_reset_to_final_measurements():
-    env = GridBattleEnv(make_scenario(episode_length=50))
+def test_play_episode_pauses_before_each_step():
+    scenario = make_scenario(episode_length=50)
+    env = GridBattleEnv(scenario)
     net = PredictorNet(327, rng=np.random.default_rng(3))
     start = env.reset(8)
     first_obs = env.observe()
     first_position = (env.agent_col, env.agent_row)
-    log = run_episode(env, 8, net, HardcodedGoal(), log_steps=True).log
-    n = len(log.actions)
+    replay = GridBattleEnv(scenario)
+    replay.reset(8)
+    n = 0
+    for t, (obs, m, g, action) in enumerate(
+            play_episode(env, 8, net, HardcodedGoal())):
+        # while the caller holds a step, the env shows that step's state
+        assert env.steps == replay.steps == t
+        assert m == env.measurements == replay.measurements
+        np.testing.assert_array_equal(obs, env.observe())
+        np.testing.assert_array_equal(obs, replay.observe())
+        if t == 0:
+            assert m == start
+            np.testing.assert_array_equal(obs, first_obs)
+            assert (env.agent_col, env.agent_row) == first_position
+        replay.step(action)
+        n += 1
+    # afterwards the env holds the finished episode the steps played
     assert n == env.steps
-    assert log.obs.shape == (n, 327) and log.obs.dtype == np.float32
-    assert log.measurements.shape == (n + 1, 3)
-    assert log.positions.shape == (n, 2)
-    assert tuple(log.measurements[0]) == (start.ammo, start.health,
-                                          start.kills)
-    final = env.measurements
-    assert tuple(log.measurements[-1]) == (final.ammo, final.health,
-                                           final.kills)
-    np.testing.assert_array_equal(log.obs[0], first_obs.astype(np.float32))
-    assert tuple(log.positions[0]) == first_position
+    assert env.state_snapshot() == replay.state_snapshot()
 
 
 def test_run_episode_deterministic():
     scenario = make_scenario(episode_length=40)
     net = PredictorNet(327, rng=np.random.default_rng(1))
-    records, final_measurements = [], []
+    runs, final_measurements = [], []
     for _ in range(2):
         env = GridBattleEnv(scenario)
-        records.append(run_episode(env, 9, net, HardcodedGoal()))
-        final_measurements.append(env.measurements)
-    a, b = records
-    assert (a.kills, a.died, a.steps) == (b.kills, b.died, b.steps)
-    assert a.log is None  # unlogged by default
+        runs.append(list(play_episode(env, 9, net, HardcodedGoal())))
+        final_measurements.append((env.measurements, env.alive, env.steps))
+    a, b = runs
+    assert len(a) == len(b)
+    for (obs_a, m_a, g_a, act_a), (obs_b, m_b, g_b, act_b) in zip(a, b):
+        np.testing.assert_array_equal(obs_a, obs_b)
+        np.testing.assert_array_equal(g_a, g_b)
+        assert (m_a, act_a) == (m_b, act_b)
     assert final_measurements[0] == final_measurements[1]
-    np.testing.assert_array_equal(a.goal_sum, b.goal_sum)

@@ -8,8 +8,7 @@ import pytest
 
 from goalevo import predictor as pred_mod
 from goalevo.configio import ConfigError
-from goalevo.env import (DEFAULT_OBS_RADIUS, GridBattleEnv, Measurements,
-                         normalize_measurements,
+from goalevo.env import (GridBattleEnv, Measurements, normalize_measurements,
                          observation_size)
 from goalevo.predictor import (Experience, PredictorConfig, PredictorNet,
                                ReplayBuffer, batch_loss, collect_and_train,
@@ -335,7 +334,7 @@ def test_train_step_allocates_no_layer_sized_array():
     """Once warm, a step on the default net (333 -> 128 -> 128 -> 108) at
     batch 64 allocates nothing of the 333 x 128 first-layer size; the
     largest array it makes is one 64 x 128 hidden-layer temporary."""
-    net = PredictorNet(observation_size(DEFAULT_OBS_RADIUS),
+    net = PredictorNet(observation_size(),
                        rng=np.random.default_rng(0))
     assert [w.shape for w in net.weights] == [(128, 333), (128, 128),
                                               (108, 128)]
@@ -481,6 +480,38 @@ def test_pure_random_policy_has_uniform_action_distribution():
     p = 1 / 6
     sigma = math.sqrt(n * p * (1 - p))
     np.testing.assert_array_less(np.abs(counts - n * p), 3 * sigma)
+
+
+def test_training_episodes_reach_the_samples_as_float32_rows(monkeypatch):
+    played = []
+
+    def spy(observations, measurements, goal, actions, offsets):
+        played.append((observations, measurements, actions))
+        return episode_to_samples(observations, measurements, goal, actions,
+                                  offsets)
+
+    monkeypatch.setattr(pred_mod, "episode_to_samples", spy)
+    envs = []
+
+    def env_factory():
+        envs.append(GridBattleEnv(make_scenario(episode_length=30)))
+        return envs[-1]
+
+    config = PredictorConfig(temporal_offsets=(1, 2), hidden_sizes=(8,),
+                             training_episodes=3, batch_size=16)
+    _, log = collect_and_train(env_factory, config, seed=4)
+    for (observations, measurements, actions), row in zip(played, log):
+        # N float32 observations and actions; N + 1 (ammo, health, kills)
+        # from the reset values to the end of the episode
+        assert len(observations) == len(actions) == len(measurements) - 1
+        assert all(o.dtype == np.float32 and o.shape == (observation_size(),)
+                   for o in observations)
+        assert measurements[0] == (20, 100, 0)
+        np.testing.assert_array_equal(row.action_counts,
+                                      np.bincount(actions, minlength=6))
+    env = envs[0]
+    assert played[-1][1][-1] == (env.ammo, env.health, env.kills)
+    assert len(played) == 3
 
 
 def test_goal_sampling_is_uniform_over_episodes():
