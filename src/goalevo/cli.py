@@ -24,8 +24,9 @@ import numpy as np
 from . import __version__, goal_net, neat, policy, predictor, stats
 from .configio import (ConfigError, apply_overrides, bounded, check_bounds,
                        coerce_value, parse_kv_file)
-from .env import (ACTION_NAMES, GridBattleEnv, Measurements, episode_fitness,
-                  normalize_measurements, scenario_from_overrides)
+from .env import (ACTION_NAMES, N_ACTIONS, GridBattleEnv, Measurements,
+                  episode_fitness, normalize_measurements, observation_size,
+                  scenario_from_overrides)
 
 DEFAULT_EVALUATION_EPISODES = 20
 
@@ -41,24 +42,14 @@ TRACE_HEADER = ("step", "action", "ammo", "health", "kills",
                 "agent_x", "agent_y")
 
 
-def _split_prefixed(config: dict[str, str], prefix: str) -> dict[str, str]:
-    return {k[len(prefix):]: v for k, v in config.items()
-            if k.startswith(prefix)}
-
-
-def _load_config(path: str | None, accepted: tuple[str, ...]) -> dict[str, str]:
-    """Read a config file and reject every key not in ``accepted``; a name
-    there that ends in "." stands for every key under that prefix."""
-    config = parse_kv_file(path) if path else {}
-    for key in config:
-        if not any(key == name or (name.endswith(".") and key.startswith(name))
-                   for name in accepted):
-            raise ConfigError(f"unknown config key {key!r}")
-    return config
+def _take_prefixed(config: dict[str, str], prefix: str) -> dict[str, str]:
+    """Take the keys under ``prefix`` out of ``config``, without the prefix."""
+    return {key[len(prefix):]: config.pop(key) for key in list(config)
+            if key.startswith(prefix)}
 
 
 def _parse_horizon_weights(config: dict[str, str], n_offsets: int):
-    raw = config.get("horizon_weights")
+    raw = config.pop("horizon_weights", None)
     if raw is None:
         return None
     weights = coerce_value("horizon_weights", raw, "tuple[float, ...]")
@@ -79,7 +70,8 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, seed: int, resolved: dict,
-                    inputs: dict[str, Path], outputs: list[Path]) -> Path:
+                    inputs: dict[str, Path], outputs: list[Path]) -> None:
+    """Write the manifest, then print each output and the manifest path."""
     manifest = {
         "tool": "goalevo",
         "version": __version__,
@@ -92,7 +84,8 @@ def _write_manifest(out_dir: Path, command: str, seed: int, resolved: dict,
     }
     path = out_dir / MANIFEST_FILE
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    for p in (*outputs, path):
+        print(p)
 
 
 def _write_csv(path: Path, header, rows) -> Path:
@@ -103,16 +96,33 @@ def _write_csv(path: Path, header, rows) -> Path:
     return path
 
 
-def _announce(paths) -> None:
-    for p in paths:
-        print(p)
+def _input_path(config: dict[str, str], key: str) -> Path:
+    raw = config.pop(key, "")
+    if not raw:
+        raise ConfigError(f"config key {key!r} is required")
+    if not Path(raw).exists():
+        raise ConfigError(f"config key {key!r} names a missing file: {raw}")
+    return Path(raw)
 
 
-def _scenario_from_config(config: dict[str, str]):
-    return scenario_from_overrides(_split_prefixed(config, "scenario."))
+def _load_model(config: dict[str, str]):
+    """The model file named by ``predictor_path`` and its net, which must be
+    made for this environment's observations and actions."""
+    path = _input_path(config, "predictor_path")
+    net, _ = predictor.load_predictor(path)
+    if (net.obs_dim, net.n_actions) != (observation_size(), N_ACTIONS):
+        raise ConfigError(
+            f"{path}: model is made for {net.obs_dim} observation values and "
+            f"{net.n_actions} actions, but the environment has "
+            f"{observation_size()} and {N_ACTIONS}")
+    return path, net
 
 
-def _out_dir(path: str) -> Path:
+def _out_dir(path: str, unread: dict[str, str]) -> Path:
+    """Make the output directory once a command has taken every config key
+    it reads out of ``unread``; a key still there is one it does not read."""
+    if unread:
+        raise ConfigError(f"unknown config key {next(iter(unread))!r}")
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -123,11 +133,11 @@ def _out_dir(path: str) -> Path:
 
 def cmd_train_predictor(config: dict[str, str], seed: int, out: str) -> int:
     """Goal-agnostic predictor training on the (default: original) scenario."""
-    scenario = _scenario_from_config(config)
+    scenario = scenario_from_overrides(_take_prefixed(config, "scenario."))
     pred_config = apply_overrides(predictor.PredictorConfig(),
-                                  _split_prefixed(config, "predictor."))
+                                  _take_prefixed(config, "predictor."))
     horizon = _parse_horizon_weights(config, len(pred_config.temporal_offsets))
-    out_dir = _out_dir(out)
+    out_dir = _out_dir(out, config)
 
     net, log = predictor.collect_and_train(
         lambda: GridBattleEnv(scenario), pred_config, seed,
@@ -147,32 +157,20 @@ def cmd_train_predictor(config: dict[str, str], seed: int, out: str) -> int:
         "predictor": dataclasses.asdict(pred_config),
         "horizon_weights": horizon,
     }
-    manifest = _write_manifest(out_dir, "train-predictor", seed, resolved,
-                               {}, [model_path, loss_path])
-    _announce([model_path, loss_path, manifest])
+    _write_manifest(out_dir, "train-predictor", seed, resolved, {},
+                    [model_path, loss_path])
     return 0
-
-
-def _require_model(config: dict[str, str]) -> Path:
-    raw = config.get("predictor_path")
-    if not raw:
-        raise ConfigError("config key 'predictor_path' is required")
-    path = Path(raw)
-    if not path.exists():
-        raise ConfigError(f"predictor model not found: {path}")
-    return path
 
 
 def cmd_evolve(config: dict[str, str], seed: int, out: str) -> int:
     """Evolve a goal network on the configured scenario; the predictor stays
     frozen, only goals adapt."""
-    scenario = _scenario_from_config(config)
+    scenario = scenario_from_overrides(_take_prefixed(config, "scenario."))
     evo_config = apply_overrides(neat.EvolutionConfig(),
-                                 _split_prefixed(config, "evolution."))
-    model_path = _require_model(config)
-    net, _ = predictor.load_predictor(model_path)
+                                 _take_prefixed(config, "evolution."))
+    model_path, net = _load_model(config)
     horizon = _parse_horizon_weights(config, net.n_offsets)
-    out_dir = _out_dir(out)
+    out_dir = _out_dir(out, config)
 
     result = neat.evolve(evo_config, net, scenario, seed,
                          horizon_weights=horizon)
@@ -194,47 +192,42 @@ def cmd_evolve(config: dict[str, str], seed: int, out: str) -> int:
         "n_evaluations": result.n_evaluations,
         "best_fitness": result.best_fitness,
     }
-    manifest = _write_manifest(out_dir, "evolve", seed, resolved,
-                               {"predictor": model_path},
-                               [genome_path, gen_path])
-    _announce([genome_path, gen_path, manifest])
+    _write_manifest(out_dir, "evolve", seed, resolved,
+                    {"predictor": model_path}, [genome_path, gen_path])
     return 0
 
 
 def _parse_providers(config: dict[str, str]):
-    raw = config.get("providers")
-    if not raw:
-        raise ConfigError("config key 'providers' is required")
-    specs = [part.strip() for part in raw.split("|") if part.strip()]
+    raw = config.pop("providers", "")
+    specs = [part.strip() for part in raw.split("|")]
+    if not all(specs):
+        raise ConfigError(f"config key 'providers' needs a goal provider spec "
+                          f"in each '|'-separated part, got {raw!r}")
     providers = []
     labels: list[str] = []
     for spec in specs:
         label = policy.goal_spec_label(spec)
-        if label in labels:
-            label = f"{label}#{labels.count(label) + 1}"
-        labels.append(policy.goal_spec_label(spec))
-        try:
-            providers.append((label, spec, policy.parse_goal_spec(spec)))
-        except (ValueError, OSError) as exc:
-            raise ConfigError(str(exc)) from exc
+        n_before = labels.count(label)
+        labels.append(label)
+        providers.append((f"{label}#{n_before + 1}" if n_before else label,
+                          spec, policy.parse_goal_spec(spec)))
     return providers
 
 
 def cmd_evaluate(config: dict[str, str], seed: int, out: str) -> int:
     """Evaluate each goal provider over shared episode seeds and report all
     pairwise rank tests."""
-    scenario = _scenario_from_config(config)
-    episodes = coerce_value("evaluation_episodes", config.get(
+    scenario = scenario_from_overrides(_take_prefixed(config, "scenario."))
+    episodes = coerce_value("evaluation_episodes", config.pop(
         "evaluation_episodes", str(DEFAULT_EVALUATION_EPISODES)), "int")
     if episodes < 1:
         raise ConfigError("evaluation_episodes must be >= 1")
     write_traces = coerce_value("write_traces",
-                                config.get("write_traces", "false"), "bool")
-    model_path = _require_model(config)
-    net, _ = predictor.load_predictor(model_path)
+                                config.pop("write_traces", "false"), "bool")
+    model_path, net = _load_model(config)
     horizon = _parse_horizon_weights(config, net.n_offsets)
     providers = _parse_providers(config)
-    out_dir = _out_dir(out)
+    out_dir = _out_dir(out, config)
 
     # paired comparisons: every provider sees the same episode seeds
     episode_seeds = [seed + 1 + i for i in range(episodes)]
@@ -283,9 +276,8 @@ def cmd_evaluate(config: dict[str, str], seed: int, out: str) -> int:
         "episode_seeds": episode_seeds,
         "horizon_weights": horizon,
     }
-    manifest = _write_manifest(out_dir, "evaluate", seed, resolved, inputs,
-                               [fitness_path, comparisons_path, *extra_outputs])
-    _announce([fitness_path, comparisons_path, manifest])
+    _write_manifest(out_dir, "evaluate", seed, resolved, inputs,
+                    [fitness_path, comparisons_path, *extra_outputs])
     return 0
 
 
@@ -339,15 +331,10 @@ def sweep_rows(net: goal_net.FeedForwardNet, spec: SweepSpec):
 
 def cmd_sweep(config: dict[str, str], seed: int, out: str) -> int:
     """Activate a goal network over measurement grids and dump (m, g) rows."""
-    spec = apply_overrides(SweepSpec(), _split_prefixed(config, "sweep."))
-    raw_genome = config.get("genome_path")
-    if not raw_genome:
-        raise ConfigError("config key 'genome_path' is required")
-    genome_path = Path(raw_genome)
-    if not genome_path.exists():
-        raise ConfigError(f"genome file not found: {genome_path}")
+    spec = apply_overrides(SweepSpec(), _take_prefixed(config, "sweep."))
+    genome_path = _input_path(config, "genome_path")
     net = goal_net.decode(goal_net.load_genome(genome_path))
-    out_dir = _out_dir(out)
+    out_dir = _out_dir(out, config)
 
     sweep_path = _write_csv(
         out_dir / SWEEP_FILE,
@@ -357,27 +344,19 @@ def cmd_sweep(config: dict[str, str], seed: int, out: str) -> int:
          for row in sweep_rows(net, spec)))
 
     resolved = {"sweep": dataclasses.asdict(spec), "genome": str(genome_path)}
-    manifest = _write_manifest(out_dir, "sweep", seed, resolved,
-                               {"genome": genome_path}, [sweep_path])
-    _announce([sweep_path, manifest])
+    _write_manifest(out_dir, "sweep", seed, resolved, {"genome": genome_path},
+                    [sweep_path])
     return 0
 
 
 # -- entry point ----------------------------------------------------------------
 
 
-# Each command with its help text and the config keys it reads.
 _COMMANDS = {
-    "train-predictor": (cmd_train_predictor, "train the measurement predictor",
-                        ("scenario.", "predictor.", "horizon_weights")),
-    "evolve": (cmd_evolve, "evolve a goal network against a frozen predictor",
-               ("scenario.", "evolution.", "predictor_path",
-                "horizon_weights")),
-    "evaluate": (cmd_evaluate, "compare goal providers with rank tests",
-                 ("scenario.", "predictor_path", "providers",
-                  "evaluation_episodes", "write_traces", "horizon_weights")),
-    "sweep": (cmd_sweep, "sweep measurements through a goal network",
-              ("sweep.", "genome_path")),
+    "train-predictor": (cmd_train_predictor, "train the measurement predictor"),
+    "evolve": (cmd_evolve, "evolve a goal network against a frozen predictor"),
+    "evaluate": (cmd_evaluate, "compare goal providers with rank tests"),
+    "sweep": (cmd_sweep, "sweep measurements through a goal network"),
 }
 
 
@@ -387,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train a measurement predictor, evolve goal networks, "
                     "compare goal providers, and sweep evolved goals.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, helptext, _) in _COMMANDS.items():
+    for name, (_, helptext) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed", type=int, default=0, help="master seed")
@@ -397,11 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command, _, accepted = _COMMANDS[args.command]
+    command = _COMMANDS[args.command][0]
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        config = _load_config(args.config, accepted)
+        config = parse_kv_file(args.config) if args.config else {}
         return command(config, args.seed, args.out)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -497,15 +497,12 @@ def evolve_against(config: EvolutionConfig, fitness_fn, seed: int,
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(predictor, scenario, episodes_per_eval, horizon_weights):
-    _WORKER_CTX["args"] = (predictor, scenario, episodes_per_eval,
-                           horizon_weights)
+def _worker_init(fitness_fn):
+    _WORKER_CTX["fitness_fn"] = fitness_fn
 
 
 def _worker_eval(item):
-    genome, gen_seed = item
-    predictor, scenario, episodes, hw = _WORKER_CTX["args"]
-    return evaluate(genome, predictor, scenario, gen_seed, episodes, hw)
+    return _WORKER_CTX["fitness_fn"](*item)
 
 
 def evolve(config: EvolutionConfig, predictor, scenario: ScenarioConfig,
@@ -526,9 +523,9 @@ def evolve(config: EvolutionConfig, predictor, scenario: ScenarioConfig,
     except ValueError:
         return evolve_against(config, fitness_fn, seed, progress=progress)
 
+    # forked workers inherit the closure, so it is never pickled
     with ctx.Pool(workers, initializer=_worker_init,
-                  initargs=(predictor, scenario, config.episodes_per_eval,
-                            horizon_weights)) as pool:
+                  initargs=(fitness_fn,)) as pool:
         def eval_map(genomes, gen_seed):
             return pool.map(_worker_eval, [(g, gen_seed) for g in genomes],
                             chunksize=1)

@@ -86,9 +86,6 @@ class PredictorNet:
             scale = np.sqrt(2.0 / d_in)
             self.weights.append(rng.normal(0.0, scale, size=(d_out, d_in)))
             self.biases.append(np.zeros(d_out))
-        self._reset_optimizer_state()
-
-    def _reset_optimizer_state(self) -> None:
         params = self.weights + self.biases
         self._vel = [np.zeros_like(p) for p in params]  # adam m
         self._sq = [np.zeros_like(p) for p in params]   # adam v
@@ -463,5 +460,4 @@ def load_predictor(path: str | Path):
     for i in range(len(net.weights)):
         net.weights[i] = arrays[2 * i]
         net.biases[i] = arrays[2 * i + 1]
-    net._reset_optimizer_state()
     return net, header.get("config", {})

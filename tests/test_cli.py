@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,10 +15,11 @@ import pytest
 
 from goalevo import cli, goal_net
 from goalevo.configio import ConfigError
-from goalevo.env import ACTION_NAMES, GridBattleEnv, ScenarioConfig
+from goalevo.env import (ACTION_NAMES, GridBattleEnv, ScenarioConfig,
+                         observation_size)
 from goalevo.goal_net import ConnGene, Genome, NodeGene
 from goalevo.neat import EvolutionConfig
-from goalevo.predictor import PredictorConfig
+from goalevo.predictor import PredictorConfig, PredictorNet, save_predictor
 from goalevo.stats import mann_whitney_u
 
 TINY_SCENARIO = """
@@ -110,11 +112,10 @@ def test_evolve_requires_model(tmp_path):
                      "--out", str(tmp_path / "out")]) == 1
 
 
-def test_evolve_missing_model_file(tmp_path):
-    cfg = tmp_path / "evolve.cfg"
-    cfg.write_text(TINY_SCENARIO + "predictor_path = /nonexistent/model\n")
-    assert cli.main(["evolve", "--config", str(cfg), "--seed", "0",
-                     "--out", str(tmp_path / "out")]) == 1
+def test_evolve_missing_model_file(tmp_path, capsys):
+    error = fails_before_work(tmp_path, capsys, "evolve", TINY_SCENARIO
+                              + "predictor_path = /nonexistent/model\n")
+    assert "'predictor_path'" in error and "/nonexistent/model" in error
 
 
 def test_evolve_outputs_and_determinism(tmp_path, trained_model):
@@ -265,6 +266,25 @@ def test_evaluate_traces_written_when_requested(tmp_path, trained_model):
     assert done
 
 
+def test_traced_evaluate_prints_every_path_it_wrote(tmp_path, capsys,
+                                                    trained_model):
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(TINY_SCENARIO + f"predictor_path = {trained_model}\n"
+                   "providers = defensive | hardcoded\nevaluation_episodes = 1\n"
+                   "write_traces = true\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(cfg), "--seed", "1",
+                     "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == str(out / "manifest.json")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(printed) == sorted(
+        str(out / name) for name in [*manifest["outputs"], "manifest.json"])
+    assert sorted(printed) == sorted(str(p) for p in out.iterdir())
+    assert len(printed) == 5  # fitness, comparisons, two traces, manifest
+
+
 def test_traced_evaluate_keeps_nothing_per_step(tmp_path, trained_model):
     """Tracing a 400-step episode costs no memory per step: the rows go
     straight to the file."""
@@ -359,11 +379,10 @@ def test_sweep_respects_custom_grid_and_is_deterministic(tmp_path):
     assert len(rows) == 1 + 6 + 5 + 5
 
 
-def test_sweep_missing_genome(tmp_path):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("genome_path = /nonexistent/genome.txt\n")
-    assert cli.main(["sweep", "--config", str(cfg), "--seed", "0",
-                     "--out", str(tmp_path / "out")]) == 1
+def test_sweep_missing_genome(tmp_path, capsys):
+    error = fails_before_work(tmp_path, capsys, "sweep",
+                              "genome_path = /nonexistent/genome.txt\n")
+    assert "'genome_path'" in error and "/nonexistent/genome.txt" in error
 
 
 @pytest.mark.parametrize("old, new", [
@@ -466,6 +485,7 @@ def test_horizon_weights_must_match_the_offset_count(tmp_path, capsys,
     ("evaluate", "evaluation_episodes = 2.5", "evaluation_episodes"),
     ("evaluate", "write_traces = maybe", "write_traces"),
     ("evaluate", "horizon_weights = a,b", "horizon_weights"),
+    ("evaluate", "providers = |", "providers"),
     ("evolve", "horizon_weights = 1,b", "horizon_weights"),
     ("train-predictor", "horizon_weights = a,b", "horizon_weights"),
     ("train-predictor", "predictor.batch_size = many", "batch_size"),
@@ -569,10 +589,31 @@ def test_evaluate_accepts_horizon_weights_of_the_offset_count(tmp_path,
 @pytest.mark.parametrize("damage", ["header lacks obs_dim", "truncated",
                                     "trailing bytes", "one array too few",
                                     "binary header", "header is not JSON",
-                                    "header is a JSON list"])
+                                    "header is a JSON list",
+                                    "made for another environment",
+                                    "four actions"])
 def test_evaluate_rejects_a_damaged_model_file(tmp_path, capsys,
                                                trained_model, damage):
-    header, payload = trained_model.read_bytes().split(b"\n", 1)
+    """``evolve`` loads the model the same way and must reject it too."""
+    model = tmp_path / "damaged.model"
+    if damage == "made for another environment":
+        save_predictor(PredictorNet(10, offsets=(1, 2), hidden_sizes=(8,)),
+                       model)
+    elif damage == "four actions":  # an agent that can never attack
+        save_predictor(PredictorNet(observation_size(), offsets=(1, 2),
+                                    hidden_sizes=(8,), n_actions=4), model)
+    else:
+        model.write_bytes(damaged_model_bytes(trained_model, damage))
+    for command, config in (
+            ("evaluate", TINY_SCENARIO + f"predictor_path = {model}\n"
+                         "providers = hardcoded\n"),
+            ("evolve", evolve_config(model))):
+        error = fails_before_work(tmp_path, capsys, command, config)
+        assert str(model) in error
+
+
+def damaged_model_bytes(model, damage):
+    header, payload = model.read_bytes().split(b"\n", 1)
     fields = json.loads(header)
     if damage == "header lacks obs_dim":
         del fields["obs_dim"]
@@ -590,9 +631,46 @@ def test_evaluate_rejects_a_damaged_model_file(tmp_path, capsys,
         header = b"goalevo predictor"
     elif damage == "header is a JSON list":
         header = b"[1, 2]"
-    model = tmp_path / "damaged.model"
-    model.write_bytes(header + b"\n" + payload)
-    error = fails_before_work(tmp_path, capsys, "evaluate",
-                              TINY_SCENARIO + f"predictor_path = {model}\n"
-                              "providers = hardcoded\n")
-    assert str(model) in error
+    return header + b"\n" + payload
+
+
+def documented_keys():
+    """Each command's config keys, as README's "Config keys" list gives
+    them; a prefix reads ``<prefix>.*``."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("### Config keys", 1)[1].split("The keys mean:")[0]
+    keys = {}
+    for item in section.split("\n- ")[1:]:
+        command, *names = re.findall(r"`([^`]+)`", item)
+        keys[command] = names
+    return keys
+
+
+@pytest.mark.parametrize("command", ["train-predictor", "evolve", "evaluate",
+                                     "sweep"])
+def test_each_command_accepts_every_key_it_documents(tmp_path, trained_model,
+                                                     command):
+    """A key the command reads only after its unread-key check would fail
+    here as unknown."""
+    genome = constant_genome(tmp_path)
+    lines = {
+        "scenario.*": TINY_SCENARIO,
+        "predictor.*": "predictor.training_episodes = 2\n"
+                       "predictor.hidden_sizes = 8\n"
+                       "predictor.temporal_offsets = 1,2\n"
+                       "predictor.batch_size = 16\n",
+        "evolution.*": "evolution.population_size = 4\n"
+                       "evolution.generations = 1\n"
+                       "evolution.episodes_per_eval = 1\n",
+        "sweep.*": "sweep.kills_max = 4\n",
+        "predictor_path": f"predictor_path = {trained_model}\n",
+        "genome_path": f"genome_path = {genome}\n",
+        "providers": f"providers = hardcoded | evolved:{genome}\n",
+        "evaluation_episodes": "evaluation_episodes = 1\n",
+        "write_traces": "write_traces = true\n",
+        "horizon_weights": "horizon_weights = 0.5,1\n",
+    }
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(lines[key] for key in documented_keys()[command]))
+    assert cli.main([command, "--config", str(cfg), "--seed", "0",
+                     "--out", str(tmp_path / "out")]) == 0
