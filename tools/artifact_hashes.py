@@ -11,7 +11,8 @@ included, so two checkouts that must write identical artifacts can be
 compared with ``diff``. The commands cover every CSV the program writes,
 the model file, the genome file, goal networks with hidden nodes, a
 training run whose replay ring wraps, a greedy training run (epsilon 0,
-where each step still draws from the training generator), and an
+where each step still draws from the training generator), an evolution
+run that removes stagnant species, and an
 evaluation on ``hard`` where agents die: death-penalty fitness values, a
 provider listed twice (label ``hardcoded#2``, trace
 ``trace_hardcoded_2.csv``) and rank tests with ties.
@@ -63,6 +64,15 @@ RUNS = (
      "evolution.episodes_per_eval = 2\n"
      "evolution.add_node_rate = 0.5\n"
      "evolution.add_connection_rate = 0.5\n"),
+    # species stagnate within a few generations and are removed
+    ("evolve_stagnant", "evolve",
+     "scenario.preset_name = hard\n"
+     f"predictor_path = {PREDICTOR}\n"
+     "evolution.population_size = 12\n"
+     "evolution.generations = 8\n"
+     "evolution.episodes_per_eval = 2\n"
+     "evolution.stagnation_generations = 2\n"
+     "evolution.compatibility_threshold = 1.0\n"),
     ("evaluate", "evaluate",
      "scenario.preset_name = original\n"
      f"predictor_path = {PREDICTOR}\n"
