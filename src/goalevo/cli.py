@@ -42,12 +42,6 @@ TRACE_HEADER = ("step", "action", "ammo", "health", "kills",
                 "agent_x", "agent_y")
 
 
-def _take_prefixed(config: dict[str, str], prefix: str) -> dict[str, str]:
-    """Take the keys under ``prefix`` out of ``config``, without the prefix."""
-    return {key[len(prefix):]: config.pop(key) for key in list(config)
-            if key.startswith(prefix)}
-
-
 def _parse_horizon_weights(config: dict[str, str], n_offsets: int):
     raw = config.pop("horizon_weights", None)
     if raw is None:
@@ -133,9 +127,9 @@ def _out_dir(path: str, unread: dict[str, str]) -> Path:
 
 def cmd_train_predictor(config: dict[str, str], seed: int, out: str) -> int:
     """Goal-agnostic predictor training on the (default: original) scenario."""
-    scenario = scenario_from_overrides(_take_prefixed(config, "scenario."))
-    pred_config = apply_overrides(predictor.PredictorConfig(),
-                                  _take_prefixed(config, "predictor."))
+    scenario = scenario_from_overrides(config, "scenario.")
+    pred_config = apply_overrides(predictor.PredictorConfig(), config,
+                                  "predictor.")
     horizon = _parse_horizon_weights(config, len(pred_config.temporal_offsets))
     out_dir = _out_dir(out, config)
 
@@ -165,9 +159,8 @@ def cmd_train_predictor(config: dict[str, str], seed: int, out: str) -> int:
 def cmd_evolve(config: dict[str, str], seed: int, out: str) -> int:
     """Evolve a goal network on the configured scenario; the predictor stays
     frozen, only goals adapt."""
-    scenario = scenario_from_overrides(_take_prefixed(config, "scenario."))
-    evo_config = apply_overrides(neat.EvolutionConfig(),
-                                 _take_prefixed(config, "evolution."))
+    scenario = scenario_from_overrides(config, "scenario.")
+    evo_config = apply_overrides(neat.EvolutionConfig(), config, "evolution.")
     model_path, net = _load_model(config)
     horizon = _parse_horizon_weights(config, net.n_offsets)
     out_dir = _out_dir(out, config)
@@ -209,15 +202,20 @@ def _parse_providers(config: dict[str, str]):
         label = policy.goal_spec_label(spec)
         n_before = labels.count(label)
         labels.append(label)
+        try:
+            provider = policy.parse_goal_spec(spec)
+        except (ValueError, OSError) as exc:
+            raise ConfigError(
+                f"config key 'providers', spec {spec!r}: {exc}") from exc
         providers.append((f"{label}#{n_before + 1}" if n_before else label,
-                          spec, policy.parse_goal_spec(spec)))
+                          spec, provider))
     return providers
 
 
 def cmd_evaluate(config: dict[str, str], seed: int, out: str) -> int:
     """Evaluate each goal provider over shared episode seeds and report all
     pairwise rank tests."""
-    scenario = scenario_from_overrides(_take_prefixed(config, "scenario."))
+    scenario = scenario_from_overrides(config, "scenario.")
     episodes = coerce_value("evaluation_episodes", config.pop(
         "evaluation_episodes", str(DEFAULT_EVALUATION_EPISODES)), "int")
     if episodes < 1:
@@ -331,9 +329,12 @@ def sweep_rows(net: goal_net.FeedForwardNet, spec: SweepSpec):
 
 def cmd_sweep(config: dict[str, str], seed: int, out: str) -> int:
     """Activate a goal network over measurement grids and dump (m, g) rows."""
-    spec = apply_overrides(SweepSpec(), _take_prefixed(config, "sweep."))
+    spec = apply_overrides(SweepSpec(), config, "sweep.")
     genome_path = _input_path(config, "genome_path")
-    net = goal_net.decode(goal_net.load_genome(genome_path))
+    try:
+        net = goal_net.decode(goal_net.load_genome(genome_path))
+    except ValueError as exc:
+        raise ConfigError(f"{genome_path}: {exc}") from exc
     out_dir = _out_dir(out, config)
 
     sweep_path = _write_csv(

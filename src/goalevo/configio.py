@@ -61,19 +61,22 @@ def coerce_value(key: str, value: str, typ: str) -> object:
         raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
 
 
-def apply_overrides(instance, overrides: dict[str, str]):
-    """Return a dataclass copy with string overrides coerced onto its fields.
+def apply_overrides(instance, config: dict[str, str], prefix: str = ""):
+    """Return a dataclass copy with the keys ``prefix + <field>`` taken out
+    of ``config`` and their string values coerced onto its fields.
 
-    Unknown keys raise ConfigError so typos in config files fail loudly.
+    A key under ``prefix`` that names no field raises ConfigError, spelled
+    as in the config file, so typos fail loudly.
     """
     field_types = {f.name: f.type for f in dataclasses.fields(instance)}
     updates = {}
-    for key, value in overrides.items():
-        if key not in field_types:
+    for key in [k for k in config if k.startswith(prefix)]:
+        name = key[len(prefix):]
+        if name not in field_types:
             raise ConfigError(
                 f"unknown config key {key!r} for {type(instance).__name__}"
             )
-        updates[key] = coerce_value(key, value, field_types[key])
+        updates[name] = coerce_value(name, config.pop(key), field_types[name])
     return dataclasses.replace(instance, **updates)
 
 

@@ -159,12 +159,12 @@ def scenario_preset(name: str) -> ScenarioConfig:
         ) from None
 
 
-def scenario_from_overrides(overrides: dict[str, str]) -> ScenarioConfig:
-    """Build a scenario from string overrides; ``preset_name`` picks the base
-    (default ``original``)."""
-    overrides = dict(overrides)
-    base = scenario_preset(overrides.pop("preset_name", "original"))
-    return apply_overrides(base, overrides)
+def scenario_from_overrides(config: dict[str, str],
+                            prefix: str = "") -> ScenarioConfig:
+    """Build a scenario from the keys under ``prefix``, taken out of
+    ``config``; ``preset_name`` picks the base (default ``original``)."""
+    base = scenario_preset(config.pop(prefix + "preset_name", "original"))
+    return apply_overrides(base, config, prefix)
 
 
 @dataclass

@@ -20,8 +20,7 @@ import numpy as np
 from . import goal_net
 from .configio import ConfigError, bounded, check_bounds
 from .env import GridBattleEnv, ScenarioConfig, episode_fitness
-from .goal_net import (ConnGene, Genome, GenomeCycleError, NodeGene,
-                       INPUT_IDS, OUTPUT_IDS)
+from .goal_net import ConnGene, Genome, NodeGene, INPUT_IDS, OUTPUT_IDS
 from .policy import NetworkGoal, play_episode
 from .seeds import derive_seed
 
@@ -118,8 +117,6 @@ def initial_genome(rng: np.random.Generator, registry: InnovationRegistry,
 def _creates_cycle(genome: Genome, src: int, dst: int) -> bool:
     """Would a dst<-src edge close a cycle? Checked over every connection gene
     (enabled or not) so crossover can never resurrect a cyclic path."""
-    if src == dst:
-        return True
     out_edges: dict[int, list[int]] = {}
     for c in genome.conns.values():
         out_edges.setdefault(c.src, []).append(c.dst)
@@ -166,9 +163,7 @@ def _mutate_add_connection(genome: Genome, config: EvolutionConfig,
     for _ in range(20):
         src = sources[int(rng.integers(len(sources)))]
         dst = dests[int(rng.integers(len(dests)))]
-        if src == dst or (src, dst) in existing:
-            continue
-        if _creates_cycle(genome, src, dst):
+        if (src, dst) in existing or _creates_cycle(genome, src, dst):
             continue
         innov = registry.connection_id(src, dst)
         genome.conns[innov] = ConnGene(
@@ -270,8 +265,6 @@ def compatibility_distance(a: Genome, b: Genome,
                            config: EvolutionConfig) -> float:
     """c_e*E/N + c_d*D/N + c_w*mean matching-weight difference."""
     ia, ib = set(a.conns), set(b.conns)
-    if not ia and not ib:
-        return 0.0
     matching = ia & ib
     max_a = max(ia) if ia else -1
     max_b = max(ib) if ib else -1
@@ -297,7 +290,7 @@ class EvalResult:
     fitnesses: list[float]
     mean_fitness: float
     mean_goal: np.ndarray  # per-step mean of the 3 goal outputs
-    n_steps: int = 0
+    n_steps: int
 
 
 def evaluate(genome: Genome, predictor, scenario: ScenarioConfig, seed: int,
@@ -306,14 +299,8 @@ def evaluate(genome: Genome, predictor, scenario: ScenarioConfig, seed: int,
     """Run the genome's goal network over full episodes with the frozen
     predictor; episode seeds derive from (seed, episode index) so every genome
     given the same seed faces the same worlds."""
-    try:
-        net = goal_net.decode(genome)
-    except GenomeCycleError:
-        floor = -float(scenario.death_penalty)
-        return EvalResult([floor] * episodes_per_eval, floor, np.zeros(3), 0)
-
     env = GridBattleEnv(scenario)
-    provider = NetworkGoal(net)
+    provider = NetworkGoal(goal_net.decode(genome))
     fits = []
     goal_sum = np.zeros(3)
     steps = 0
@@ -325,8 +312,7 @@ def evaluate(genome: Genome, predictor, scenario: ScenarioConfig, seed: int,
             np.zeros(3))
         fits.append(episode_fitness(env))
         steps += env.steps
-    mean_goal = goal_sum / steps if steps else np.zeros(3)
-    return EvalResult(fits, float(np.mean(fits)), mean_goal, steps)
+    return EvalResult(fits, float(np.mean(fits)), goal_sum / steps, steps)
 
 
 # -- the generational loop ------------------------------------------------------
@@ -452,12 +438,8 @@ def evolve_against(config: EvolutionConfig, fitness_fn, seed: int,
             best_fitness = gen_best.fitness
             best_genome = gen_best.copy()
 
-        total_steps = sum(r.n_steps for r in results)
-        if total_steps:
-            mean_goal = sum((r.mean_goal * r.n_steps for r in results),
-                            np.zeros(3)) / total_steps
-        else:
-            mean_goal = np.mean([r.mean_goal for r in results], axis=0)
+        mean_goal = sum((r.mean_goal * r.n_steps for r in results),
+                        np.zeros(3)) / sum(r.n_steps for r in results)
         events = []
 
         _speciate(population, species_list, config, rng)
@@ -466,11 +448,11 @@ def evolve_against(config: EvolutionConfig, fitness_fn, seed: int,
             if current > s.best_fitness:
                 s.best_fitness = current
                 s.last_improved = gen
-        stagnant = [s for s in species_list
-                    if gen - s.last_improved >= config.stagnation_generations]
-        if stagnant:
-            species_list[:] = [s for s in species_list if s not in stagnant]
-            events.append(f"removed_stagnant={len(stagnant)}")
+        kept = [s for s in species_list
+                if gen - s.last_improved < config.stagnation_generations]
+        if len(kept) < len(species_list):
+            events.append(f"removed_stagnant={len(species_list) - len(kept)}")
+            species_list = kept
 
         if not species_list:
             events.append("extinction_restart")

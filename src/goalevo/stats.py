@@ -1,9 +1,9 @@
 """Rank statistics for comparing agent variants.
 
-Mann-Whitney U is computed from midrank sums. For small tie-free samples
-(min size <= 8) the p-value comes from exact enumeration of the U null
-distribution; otherwise from the normal approximation with tie-corrected
-variance and a continuity correction.
+Mann-Whitney U is computed from midrank sums, and its p-value is two-sided.
+For small tie-free samples (min size <= 8) the p-value comes from exact
+enumeration of the U null distribution; otherwise from the normal
+approximation with tie-corrected variance and a continuity correction.
 """
 
 from __future__ import annotations
@@ -36,44 +36,26 @@ def _exact_u_counts(n1: int, n2: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _exact_p(u: float, n1: int, n2: int, alternative: str) -> float:
+def _exact_p(u: float, n1: int, n2: int) -> float:
     counts = _exact_u_counts(n1, n2)
     total = sum(counts)
     le = sum(counts[:int(math.floor(u)) + 1])
     ge = sum(counts[int(math.ceil(u)):])
-    if alternative == "greater":
-        return ge / total
-    if alternative == "less":
-        return le / total
     return min(1.0, 2.0 * min(le, ge) / total)
 
 
-def _approx_p(u: float, n1: int, n2: int, tie_term: float,
-              alternative: str) -> float:
+def _approx_p(u: float, n1: int, n2: int, tie_term: float) -> float:
     n = n1 + n2
-    mean_u = n1 * n2 / 2.0
     var_u = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
-    if var_u <= 0:
-        return 1.0
-    sd = math.sqrt(var_u)
-    if alternative == "two-sided":
-        z = max(0.0, abs(u - mean_u) - 0.5) / sd
-        return min(1.0, 2.0 * _normal_sf(z))
-    if alternative == "greater":
-        z = (u - mean_u - 0.5) / sd
-    else:
-        z = (mean_u - u - 0.5) / sd
-    return _normal_sf(z)
+    z = max(0.0, abs(u - n1 * n2 / 2.0) - 0.5) / math.sqrt(var_u)
+    return min(1.0, 2.0 * _normal_sf(z))
 
 
-def mann_whitney_u(x, y, alternative: str = "two-sided") -> tuple[float, float]:
-    """U statistic of the first sample and its p-value.
+def mann_whitney_u(x, y) -> tuple[float, float]:
+    """U statistic of the first sample and its two-sided p-value.
 
-    ``alternative='greater'`` tests whether x is stochastically larger than y.
     Identical constant samples give p = 1.
     """
-    if alternative not in ("two-sided", "greater", "less"):
-        raise ValueError(f"unknown alternative {alternative!r}")
     xs = np.asarray(list(x), dtype=float)
     ys = np.asarray(list(y), dtype=float)
     if xs.size == 0 or ys.size == 0:
@@ -90,6 +72,6 @@ def mann_whitney_u(x, y, alternative: str = "two-sided") -> tuple[float, float]:
     if len(tie_counts) == 1:  # every value identical in both samples
         return u, 1.0
     if not has_ties and min(n1, n2) <= EXACT_MAX_MIN_N:
-        return u, _exact_p(u, n1, n2, alternative)
+        return u, _exact_p(u, n1, n2)
     tie_term = float(np.sum(tie_counts.astype(float) ** 3 - tie_counts))
-    return u, _approx_p(u, n1, n2, tie_term, alternative)
+    return u, _approx_p(u, n1, n2, tie_term)

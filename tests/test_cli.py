@@ -389,18 +389,23 @@ def test_sweep_missing_genome(tmp_path, capsys):
     ("node 5 0.25 out\n", ""),                    # output node missing
     ("node 0 0.0 in\n", "node 0 0.0 hidden\n"),  # input node of the wrong type
     ("", "conn 9 0 7 1.0 1\n"),                   # connection to an unknown node
+    ("", "bogus\n"),                              # a line that does not parse
+    ("", "node 6 0.0 hidden\nnode 7 0.0 hidden\n"  # a cycle
+         "conn 9 6 7 1.0 1\nconn 10 7 6 1.0 1\n"),
 ])
-def test_sweep_rejects_incomplete_genome(tmp_path, capsys, old, new):
+def test_sweep_rejects_incomplete_genome(tmp_path, capsys, trained_model, old,
+                                         new):
+    """``evaluate`` loads genome files the same way and must reject them too."""
     genome_path = constant_genome(tmp_path)
     text = genome_path.read_text()
     assert old in text
     genome_path.write_text(text.replace(old, new) if old else text + new)
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(f"genome_path = {genome_path}\n")
-    assert cli.main(["sweep", "--config", str(cfg), "--seed", "0",
-                     "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
+    for command, config in (
+            ("sweep", f"genome_path = {genome_path}\n"),
+            ("evaluate", TINY_SCENARIO + f"predictor_path = {trained_model}\n"
+                         f"providers = hardcoded | evolved:{genome_path}\n")):
+        error = fails_before_work(tmp_path, capsys, command, config)
+        assert str(genome_path) in error
 
 
 # -- entry point --------------------------------------------------------------
@@ -430,7 +435,7 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
     cfg.write_text("scenario.monster_speed = 3\n")
     assert cli.main(["train-predictor", "--config", str(cfg), "--seed", "0",
                      "--out", str(tmp_path / "out")]) == 1
-    assert "monster_speed" in capsys.readouterr().err
+    assert "'scenario.monster_speed'" in capsys.readouterr().err
 
 
 def fails_before_work(tmp_path, capsys, command, config_text, seed="0"):
@@ -452,6 +457,7 @@ def fails_before_work(tmp_path, capsys, command, config_text, seed="0"):
     ("evaluate", "goal = hardcoded", "goal"),  # not an alias of providers
     ("evolve", "providers = hardcoded", "providers"),  # read by evaluate only
     ("sweep", "predictor.batch_size = 8", "predictor.batch_size"),
+    ("evolve", "evolution.populaton_size = 8", "evolution.populaton_size"),
 ])
 def test_keys_a_command_does_not_read_are_rejected(tmp_path, capsys,
                                                    trained_model, command,
@@ -486,6 +492,7 @@ def test_horizon_weights_must_match_the_offset_count(tmp_path, capsys,
     ("evaluate", "write_traces = maybe", "write_traces"),
     ("evaluate", "horizon_weights = a,b", "horizon_weights"),
     ("evaluate", "providers = |", "providers"),
+    ("evaluate", "providers = evolved:/nope.txt", "providers"),
     ("evolve", "horizon_weights = 1,b", "horizon_weights"),
     ("train-predictor", "horizon_weights = a,b", "horizon_weights"),
     ("train-predictor", "predictor.batch_size = many", "batch_size"),

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goalevo import goal_net
 from goalevo.configio import ConfigError
@@ -23,11 +25,7 @@ ZERO_RATES = dict(add_connection_rate=0.0, delete_connection_rate=0.0,
 
 def surrogate_fitness(genome, gen_seed):
     """Sum of goal outputs at input (0.5, 0.5, 0.5); optimum 3 by saturation."""
-    try:
-        net = goal_net.decode(genome)
-    except goal_net.GenomeCycleError:
-        return EvalResult([-10.0], -10.0, np.zeros(3), 0)
-    out = goal_net.activate(net, np.array([0.5, 0.5, 0.5]))
+    out = goal_net.activate(goal_net.decode(genome), np.array([0.5, 0.5, 0.5]))
     total = float(out.sum())
     return EvalResult([total], total, out, 1)
 
@@ -182,6 +180,35 @@ def test_soundness_under_10k_random_mutations(registry, rng):
     assert total == 10_000
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.5, 1.0), st.floats(0.1, 0.5))
+def test_mutation_and_crossover_never_make_a_cyclic_genome(
+        seed, add_connection_rate, delete_connection_rate):
+    """Every genome evolution can build is acyclic over all its connection
+    genes, disabled ones included, so ``evaluate`` can always decode it."""
+    cfg = EvolutionConfig(add_node_rate=0.5, delete_node_rate=0.3,
+                          add_connection_rate=add_connection_rate,
+                          delete_connection_rate=delete_connection_rate)
+    rng = np.random.default_rng(seed)
+    registry = InnovationRegistry()
+    pool = [initial_genome(rng, registry, key=i) for i in range(4)]
+    for _ in range(200):
+        i, j = rng.integers(len(pool), size=2)
+        child = pool[i]
+        if rng.random() < 0.5:
+            pool[i].fitness, pool[j].fitness = rng.normal(size=2)
+            child = crossover(pool[i], pool[j], rng)
+        child = mutate(child, cfg, rng, registry)
+        assert all(c.src in child.nodes and c.dst in child.nodes
+                   for c in child.conns.values())
+        every_gene = child.copy()
+        for c in every_gene.conns.values():
+            c.enabled = True
+        goal_net.decode(every_gene)  # raises GenomeCycleError on a cycle
+        goal_net.decode(child)
+        pool[i] = child
+
+
 # -- crossover -------------------------------------------------------------------
 
 
@@ -256,6 +283,8 @@ def test_matching_gene_inheritance_is_uniform(registry):
 def test_identical_genomes_distance_zero(registry, rng):
     g = initial_genome(rng, registry, key=0)
     assert compatibility_distance(g, g.copy(), EvolutionConfig()) == 0.0
+    bare = Genome(nodes=dict(g.nodes))  # no connection genes at all
+    assert compatibility_distance(bare, bare.copy(), EvolutionConfig()) == 0.0
 
 
 def test_single_weight_difference_distance():
@@ -344,7 +373,7 @@ def test_evaluate_zero_goal_genome_matches_manual_rollout(registry):
     np.testing.assert_array_equal(result.mean_goal, np.zeros(3))
 
 
-def test_undecodable_genome_gets_floor_fitness():
+def test_evaluate_rejects_a_cyclic_genome():
     nodes = {i: NodeGene(i, 0.0, "in") for i in range(3)}
     nodes.update({i: NodeGene(i, 0.0, "out") for i in range(3, 6)})
     nodes[7] = NodeGene(7, 0.0, "hidden")
@@ -354,10 +383,9 @@ def test_undecodable_genome_gets_floor_fitness():
         1: ConnGene(1, 8, 7, 1.0, True),
         2: ConnGene(2, 8, 3, 1.0, True),
     })
-    result = evaluate(cyclic, small_predictor(), hard_scenario(), seed=0,
-                      episodes_per_eval=8)
-    assert result.fitnesses == [-100.0] * 8
-    assert result.mean_fitness == -100.0
+    with pytest.raises(goal_net.GenomeCycleError):
+        evaluate(cyclic, small_predictor(), hard_scenario(), seed=0,
+                 episodes_per_eval=8)
 
 
 # -- the evolution loop --------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from goalevo.stats import mann_whitney_u
 
 
-def brute_force_exact(x, y, alternative="two-sided"):
+def brute_force_exact(x, y):
     """Oracle: enumerate every way the pooled tie-free sample could be split
     between x and y and count U statistics directly."""
     pooled = sorted(x) + sorted(y)
@@ -25,10 +25,6 @@ def brute_force_exact(x, y, alternative="two-sided"):
     total = len(us)
     le = sum(1 for u in us if u <= u_obs)
     ge = sum(1 for u in us if u >= u_obs)
-    if alternative == "greater":
-        return u_obs, ge / total
-    if alternative == "less":
-        return u_obs, le / total
     return u_obs, min(1.0, 2.0 * min(le, ge) / total)
 
 
@@ -76,18 +72,6 @@ def test_exact_p_matches_full_enumeration(n1, n2):
         assert p_impl == pytest.approx(p_oracle, abs=1e-12)
 
 
-@pytest.mark.parametrize("alternative", ["greater", "less"])
-def test_one_sided_exact_matches_enumeration(alternative):
-    rng = np.random.default_rng(7)
-    for trial in range(5):
-        pooled = rng.permutation(rng.choice(500, size=9,
-                                            replace=False).astype(float))
-        x, y = list(pooled[:4]), list(pooled[4:])
-        _, p_impl = mann_whitney_u(x, y, alternative)
-        _, p_oracle = brute_force_exact(x, y, alternative)
-        assert p_impl == pytest.approx(p_oracle, abs=1e-12)
-
-
 def test_exact_and_normal_agree_within_005():
     # spec property: approximation error stays small for the sizes where the
     # exact path is live
@@ -100,7 +84,7 @@ def test_exact_and_normal_agree_within_005():
         pooled = rng.choice(100000, size=n1 + n2, replace=False).astype(float)
         x, y = pooled[:n1], pooled[n1:]
         u, p_exact = mann_whitney_u(x, y)
-        p_norm = stats_mod._approx_p(u, n1, n2, 0.0, "two-sided")
+        p_norm = stats_mod._approx_p(u, n1, n2, 0.0)
         assert abs(p_exact - p_norm) < 0.05
 
 
@@ -110,7 +94,10 @@ def test_location_shift_monotonicity():
     y = rng.normal(0, 1, size=12)
     previous = 1.1
     for c in np.linspace(0.0, 3.0, 13):
-        _, p = mann_whitney_u(x + c, y, alternative="greater")
+        u, p = mann_whitney_u(x + c, y)
+        # x ranks above y from c = 0 (U = 84 of 144), so shifting it further
+        # moves U away from the centre and the two-sided p can only fall
+        assert u >= len(x) * len(y) / 2
         assert p <= previous + 1e-12
         previous = p
 
