@@ -46,8 +46,10 @@ def _exact_p(u: float, n1: int, n2: int) -> float:
 
 def _approx_p(u: float, n1: int, n2: int, tie_term: float) -> float:
     n = n1 + n2
+    mean_u = n1 * n2 / 2.0
     var_u = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
-    z = max(0.0, abs(u - n1 * n2 / 2.0) - 0.5) / math.sqrt(var_u)
+    sd = math.sqrt(var_u)
+    z = max(0.0, abs(u - mean_u) - 0.5) / sd
     return min(1.0, 2.0 * _normal_sf(z))
 
 
