@@ -61,7 +61,7 @@ def coerce_value(key: str, value: str, typ: str) -> object:
         raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
 
 
-def apply_overrides(instance, config: dict[str, str], prefix: str = ""):
+def apply_overrides(instance, config: dict[str, str], prefix: str):
     """Return a dataclass copy with the keys ``prefix + <field>`` taken out
     of ``config`` and their string values coerced onto its fields.
 
