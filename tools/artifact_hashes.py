@@ -12,10 +12,11 @@ compared with ``diff``. The commands cover every CSV the program writes,
 the model file, the genome file, goal networks with hidden nodes, a
 training run whose replay ring wraps, a greedy training run (epsilon 0,
 where each step still draws from the training generator), an evolution
-run that removes stagnant species, and an
+run that removes stagnant species, an
 evaluation on ``hard`` where agents die: death-penalty fitness values, a
 provider listed twice (label ``hardcoded#2``, trace
-``trace_hardcoded_2.csv``) and rank tests with ties.
+``trace_hardcoded_2.csv``) and rank tests with ties, and an evaluation
+with no monsters, where every fitness is 0.
 """
 
 from __future__ import annotations
@@ -85,6 +86,15 @@ RUNS = (
      f"predictor_path = {PREDICTOR}\n"
      "providers = static:0.5,0.5,1.0 | hardcoded | hardcoded\n"
      "evaluation_episodes = 20\n"
+     "write_traces = true\n"),
+    # no monsters: the env's empty-list path, and every fitness is 0, so
+    # the rank test sees one tied value
+    ("evaluate_empty", "evaluate",
+     "scenario.preset_name = original\n"
+     "scenario.n_monsters = 0\n"
+     f"predictor_path = {PREDICTOR}\n"
+     f"providers = static:0.5,0.5,1.0 | evolved:{GENOME}\n"
+     "evaluation_episodes = 4\n"
      "write_traces = true\n"),
     ("sweep", "sweep", f"genome_path = {GENOME}\n"),
 )
