@@ -65,8 +65,9 @@ def apply_overrides(instance, config: dict[str, str], prefix: str):
     """Return a dataclass copy with the keys ``prefix + <field>`` taken out
     of ``config`` and their string values coerced onto its fields.
 
-    A key under ``prefix`` that names no field raises ConfigError, spelled
-    as in the config file, so typos fail loudly.
+    A key under ``prefix`` that names no field, or whose value does not
+    parse or fails a check, raises ConfigError naming the key as the config
+    file spells it, so typos fail loudly.
     """
     field_types = {f.name: f.type for f in dataclasses.fields(instance)}
     updates = {}
@@ -76,8 +77,11 @@ def apply_overrides(instance, config: dict[str, str], prefix: str):
             raise ConfigError(
                 f"unknown config key {key!r} for {type(instance).__name__}"
             )
-        updates[name] = coerce_value(name, config.pop(key), field_types[name])
-    return dataclasses.replace(instance, **updates)
+        updates[name] = coerce_value(key, config.pop(key), field_types[name])
+    try:  # each bound and cross-field message starts with its field name
+        return dataclasses.replace(instance, **updates)
+    except ConfigError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def bounded(default, lo=-math.inf, hi=math.inf, open_lo=False, open_hi=False):

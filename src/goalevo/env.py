@@ -433,8 +433,6 @@ class GridBattleEnv:
 
     def _monsters_act(self) -> None:
         cfg = self.config
-        if not self.monsters:
-            return
         ar, ac = self.agent_row, self.agent_col
         advance = self.rng.random(len(self.monsters))
         rand_dirs = self.rng.integers(0, 4, size=len(self.monsters))

@@ -23,7 +23,7 @@ NODE_OUTPUT = "out"
 
 
 class GenomeCycleError(ValueError):
-    """The enabled connections of a genome contain a cycle."""
+    """The connections of a genome contain a cycle."""
 
 
 @dataclass
@@ -71,23 +71,15 @@ class FeedForwardNet:
     eval_steps: list[tuple[int, float, list[tuple[int, float]]]]
 
 
-def decode(genome: Genome) -> FeedForwardNet:
-    """Build the executable net; hidden nodes with no path to an output are
-    pruned and never influence the result.
-
-    One Kahn pass over the enabled connections, smallest node id first,
-    gives the evaluation order and rejects cycles; walking that order
-    backwards marks the nodes that reach an output.
-    """
-    incoming: dict[int, list[ConnGene]] = {}
+def topological_order(node_ids, edges) -> list[int]:
+    """Kahn's algorithm over ``(src, dst)`` edges: the nodes, each after the
+    sources of its edges, ready nodes smallest id first. Raises
+    GenomeCycleError when the edges contain a cycle."""
     out_edges: dict[int, list[int]] = {}
-    indeg = dict.fromkeys(genome.nodes, 0)
-    for c in genome.conns.values():
-        if c.enabled:
-            incoming.setdefault(c.dst, []).append(c)
-            out_edges.setdefault(c.src, []).append(c.dst)
-            indeg[c.dst] = indeg.get(c.dst, 0) + 1
-
+    indeg = dict.fromkeys(node_ids, 0)
+    for src, dst in edges:
+        out_edges.setdefault(src, []).append(dst)
+        indeg[dst] = indeg.get(dst, 0) + 1
     order: list[int] = []
     frontier = sorted(nid for nid, d in indeg.items() if d == 0)
     while frontier:
@@ -98,7 +90,24 @@ def decode(genome: Genome) -> FeedForwardNet:
             if indeg[nxt] == 0:
                 heapq.heappush(frontier, nxt)
     if len(order) != len(indeg):
-        raise GenomeCycleError("enabled connections form a cycle")
+        raise GenomeCycleError("connections form a cycle")
+    return order
+
+
+def decode(genome: Genome) -> FeedForwardNet:
+    """Build the executable net; hidden nodes with no path to an output are
+    pruned and never influence the result.
+
+    The topological order of the enabled connections gives the evaluation
+    order and rejects cycles; walking it backwards marks the nodes that
+    reach an output.
+    """
+    incoming: dict[int, list[ConnGene]] = {}
+    for c in genome.conns.values():
+        if c.enabled:
+            incoming.setdefault(c.dst, []).append(c)
+    order = topological_order(genome.nodes, [
+        (c.src, c.dst) for c in genome.conns.values() if c.enabled])
 
     useful = set(OUTPUT_IDS)
     for nid in reversed(order):

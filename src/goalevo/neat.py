@@ -114,25 +114,6 @@ def initial_genome(rng: np.random.Generator, registry: InnovationRegistry,
 # -- mutation -----------------------------------------------------------------
 
 
-def _creates_cycle(genome: Genome, src: int, dst: int) -> bool:
-    """Would a dst<-src edge close a cycle? Checked over every connection gene
-    (enabled or not) so crossover can never resurrect a cyclic path."""
-    out_edges: dict[int, list[int]] = {}
-    for c in genome.conns.values():
-        out_edges.setdefault(c.src, []).append(c.dst)
-    stack = [dst]
-    seen = {dst}
-    while stack:
-        nid = stack.pop()
-        if nid == src:
-            return True
-        for nxt in out_edges.get(nid, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
-
-
 def _mutate_add_node(genome: Genome, rng: np.random.Generator,
                      registry: InnovationRegistry) -> None:
     enabled = [genome.conns[i] for i in sorted(genome.conns)
@@ -163,7 +144,11 @@ def _mutate_add_connection(genome: Genome, config: EvolutionConfig,
     for _ in range(20):
         src = sources[int(rng.integers(len(sources)))]
         dst = dests[int(rng.integers(len(dests)))]
-        if (src, dst) in existing or _creates_cycle(genome, src, dst):
+        if (src, dst) in existing:
+            continue
+        try:  # over every gene, so crossover never resurrects a cycle
+            goal_net.topological_order(genome.nodes, [*existing, (src, dst)])
+        except goal_net.GenomeCycleError:
             continue
         innov = registry.connection_id(src, dst)
         genome.conns[innov] = ConnGene(
@@ -497,17 +482,12 @@ def evolve(config: EvolutionConfig, predictor, scenario: ScenarioConfig,
         return evaluate(genome, predictor, scenario, gen_seed,
                         config.episodes_per_eval, horizon_weights)
 
-    if workers <= 1:
-        return evolve_against(config, fitness_fn, seed, progress=progress)
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return evolve_against(config, fitness_fn, seed, progress=progress)
 
     # forked workers inherit the closure, so it is never pickled
-    with ctx.Pool(workers, initializer=_worker_init,
-                  initargs=(fitness_fn,)) as pool:
+    with multiprocessing.get_context("fork").Pool(
+            workers, initializer=_worker_init, initargs=(fitness_fn,)) as pool:
         def eval_map(genomes, gen_seed):
             return pool.map(_worker_eval, [(g, gen_seed) for g in genomes],
                             chunksize=1)

@@ -77,14 +77,15 @@ class PredictorNet:
         self.learning_rate = float(learning_rate)
         self.momentum = float(momentum)
 
+        # He-normal weights from ``rng``; without one, every parameter starts
+        # at zero (``load_predictor`` overwrites them all)
         sizes = [self.input_dim, *hidden_sizes, self.output_dim]
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         for d_in, d_out in zip(sizes, sizes[1:]):
-            scale = np.sqrt(2.0 / d_in)
-            self.weights.append(rng.normal(0.0, scale, size=(d_out, d_in)))
+            self.weights.append(
+                np.zeros((d_out, d_in)) if rng is None
+                else rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_out, d_in)))
             self.biases.append(np.zeros(d_out))
         params = self.weights + self.biases
         self._vel = [np.zeros_like(p) for p in params]  # adam m
@@ -215,43 +216,6 @@ def _stack(samples) -> Experience:
                         for f in fields(Experience)))
 
 
-def _loss(net: PredictorNet, batch, work: _Workspace | None = None):
-    """Batched forward pass and loss on an Experience or a sequence of
-    per-sample objects; given a workspace, also the backward pass, written
-    into the workspace's arrays."""
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    if not isinstance(batch, Experience):
-        batch = _stack(batch)
-    x = np.concatenate([batch.obs, batch.m_norm, batch.goal], axis=1,
-                       out=None if work is None else work.x)
-    n_valid = int(batch.mask.sum()) * N_MEASUREMENTS
-    if n_valid == 0:
-        raise ValueError("batch has no valid targets (all offsets masked)")
-
-    acts = _layers(net, x, None if work is None else work.acts)
-    preds = acts[-1].reshape(len(batch), net.n_actions, net.n_offsets, N_MEASUREMENTS)
-    rows = np.arange(len(batch))
-    taken = preds[rows, batch.action]                  # (B, K, 3)
-    err = (taken - batch.targets) * batch.mask[:, :, None]
-    loss = float(np.sum(err * err) / n_valid)
-    if work is None:
-        return loss, None, None
-
-    delta = work.d_out
-    delta.fill(0.0)
-    delta.reshape(preds.shape)[rows, batch.action] = 2.0 * err / n_valid
-    for layer in range(len(net.weights) - 1, -1, -1):
-        np.matmul(delta.T, acts[layer], out=work.grads_w[layer])
-        np.sum(delta, axis=0, out=work.grads_b[layer])
-        if layer > 0:
-            delta = np.matmul(delta, net.weights[layer],
-                              out=work.deltas[layer - 1])
-            # leaky(z) > 0 exactly where z > 0, so the slope reads off acts
-            np.multiply(delta, LEAKY_SLOPE, out=delta, where=acts[layer] <= 0)
-    return loss, work.grads_w, work.grads_b
-
-
 class _Workspace:
     """The arrays a training step writes into, for one net and batch length:
     input rows, layer outputs, output and hidden deltas, parameter gradients
@@ -270,21 +234,50 @@ class _Workspace:
 
 
 def gradients(net: PredictorNet, batch, work: _Workspace | None = None):
-    """Loss plus analytic parameter gradients for a batch.
+    """Loss plus analytic parameter gradients for a batch: an Experience or a
+    sequence of per-sample objects.
 
     The loss is the mean squared error over the valid (offset, measurement)
     entries of each sample's taken action. The gradient arrays are new and
     the caller's, unless ``work`` is given (``train_step`` passes the net's
     workspace): then they are the workspace's, overwritten by the next call.
     """
+    if len(batch) == 0:
+        raise ValueError("empty batch")
+    if not isinstance(batch, Experience):
+        batch = _stack(batch)
     if work is None:
         work = _Workspace(net, len(batch))
-    return _loss(net, batch, work)
+    x = np.concatenate([batch.obs, batch.m_norm, batch.goal], axis=1,
+                       out=work.x)
+    n_valid = int(batch.mask.sum()) * N_MEASUREMENTS
+    if n_valid == 0:
+        raise ValueError("batch has no valid targets (all offsets masked)")
+
+    acts = _layers(net, x, work.acts)
+    preds = acts[-1].reshape(len(batch), net.n_actions, net.n_offsets, N_MEASUREMENTS)
+    rows = np.arange(len(batch))
+    taken = preds[rows, batch.action]                  # (B, K, 3)
+    err = (taken - batch.targets) * batch.mask[:, :, None]
+    loss = float(np.sum(err * err) / n_valid)
+
+    delta = work.d_out
+    delta.fill(0.0)
+    delta.reshape(preds.shape)[rows, batch.action] = 2.0 * err / n_valid
+    for layer in range(len(net.weights) - 1, -1, -1):
+        np.matmul(delta.T, acts[layer], out=work.grads_w[layer])
+        np.sum(delta, axis=0, out=work.grads_b[layer])
+        if layer > 0:
+            delta = np.matmul(delta, net.weights[layer],
+                              out=work.deltas[layer - 1])
+            # leaky(z) > 0 exactly where z > 0, so the slope reads off acts
+            np.multiply(delta, LEAKY_SLOPE, out=delta, where=acts[layer] <= 0)
+    return loss, work.grads_w, work.grads_b
 
 
 def batch_loss(net: PredictorNet, batch) -> float:
     """Loss on a batch without updating anything."""
-    return _loss(net, batch)[0]
+    return gradients(net, batch)[0]
 
 
 ADAM_BETA2 = 0.999

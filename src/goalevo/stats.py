@@ -9,7 +9,6 @@ approximation with tie-corrected variance and a continuity correction.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,8 +19,7 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-@lru_cache(maxsize=256)
-def _exact_u_counts(n1: int, n2: int) -> tuple[int, ...]:
+def _exact_u_counts(n1: int, n2: int) -> list[int]:
     """counts[u] = number of arrangements of n1 + n2 distinct values giving
     U = u for the first sample: the coefficients of the Gaussian binomial
     prod_{i=1..n1} (1 - q^(n2+i)) / (1 - q^i). Every factor is applied to
@@ -33,7 +31,7 @@ def _exact_u_counts(n1: int, n2: int) -> tuple[int, ...]:
             counts[u] -= counts[u - n2 - i]
         for u in range(i, n1 * n2 + 1):  # divided by (1 - q^i)
             counts[u] += counts[u - i]
-    return tuple(counts)
+    return counts
 
 
 def _exact_p(u: float, n1: int, n2: int) -> float:

@@ -495,7 +495,8 @@ def test_horizon_weights_must_match_the_offset_count(tmp_path, capsys,
     ("evaluate", "providers = evolved:/nope.txt", "providers"),
     ("evolve", "horizon_weights = 1,b", "horizon_weights"),
     ("train-predictor", "horizon_weights = a,b", "horizon_weights"),
-    ("train-predictor", "predictor.batch_size = many", "batch_size"),
+    ("train-predictor", "predictor.batch_size = many", "predictor.batch_size"),
+    ("evaluate", "scenario.n_monsters = many", "scenario.n_monsters"),
 ])
 def test_values_that_do_not_parse_name_their_key(tmp_path, capsys,
                                                  trained_model, command,
@@ -539,6 +540,8 @@ def test_values_that_do_not_parse_name_their_key(tmp_path, capsys,
     ("evolve", "evolution.weight_min = nan", "weight_min"),
     ("evolve", "evolution.weight_max = inf", "weight_max"),
     ("evolve", "evolution.weight_min = -inf", "weight_min"),
+    ("evolve", "evolution.weight_min = 40", "weight_min"),
+    ("evaluate", "scenario.monster_health = 0", "monster_health"),
     ("evaluate", "scenario.death_penalty = nan", "death_penalty"),
     ("train-predictor", "scenario.wall_layout_seed = -3", "wall_layout_seed"),
     ("evaluate", "horizon_weights = nan,1", "horizon_weights"),
@@ -559,6 +562,7 @@ def test_out_of_range_values_name_their_key(tmp_path, capsys, trained_model,
     else:
         error = fails_before_work(tmp_path, capsys, command,
                                   config + line + "\n")
+        assert line.split(" = ")[0] in error  # as the file spells the key
     assert key in error
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from goalevo.goal_net import (ConnGene, FeedForwardNet, Genome,
                               GenomeCycleError, NodeGene, activate,
                               decode, genome_from_text, genome_to_text,
-                              load_genome, save_genome,
+                              load_genome, save_genome, topological_order,
                               INPUT_IDS, OUTPUT_IDS)
 
 
@@ -121,6 +121,15 @@ def test_disabled_cycle_still_rejected_only_when_enabled():
     conns = [ConnGene(0, 7, 8, 1.0, True), ConnGene(1, 8, 7, 1.0, False),
              ConnGene(2, 8, 3, 1.0, True)]
     decode(make_genome(nodes, conns))  # disabled back-edge: fine
+
+
+def test_topological_order_takes_the_smallest_ready_id_first():
+    assert topological_order([9, 1, 5, 2], [(9, 1), (5, 1), (2, 9)]) == \
+        [2, 5, 9, 1]
+    assert topological_order([4, 3], []) == [3, 4]
+    for edges in ([(1, 1)], [(1, 2), (2, 3), (3, 1)]):
+        with pytest.raises(GenomeCycleError):
+            topological_order([1, 2, 3], edges)
 
 
 def _random_genome(rng):

@@ -58,6 +58,15 @@ def test_zero_weight_net_predicts_zero():
     np.testing.assert_array_equal(out, 0.0)
 
 
+def test_net_without_rng_starts_at_zero():
+    """load_predictor overwrites every parameter, so a net built without a
+    generator draws no weights: every parameter starts at zero."""
+    net = PredictorNet(5, offsets=(1, 2), hidden_sizes=(4, 3), n_actions=2)
+    assert [w.shape for w in net.weights] == [(4, 11), (3, 4), (12, 3)]
+    for p in net.weights + net.biases:
+        np.testing.assert_array_equal(p, 0.0)
+
+
 def test_forward_deterministic():
     net = tiny_net()
     obs = np.array([0.4, -1.2])
