@@ -292,9 +292,11 @@ def evaluate(genome: Genome, predictor, scenario: ScenarioConfig, seed: int,
     for i in range(episodes_per_eval):
         # each episode's goals are summed first: the logged mean goal
         # depends on that order, bit for bit
-        goal_sum += sum((g for _, _, g, _ in play_episode(
-            env, derive_seed(seed, i), predictor, provider, horizon_weights)),
-            np.zeros(3))
+        episode_sum = np.zeros(3)
+        for _, _, g, _ in play_episode(env, derive_seed(seed, i), predictor,
+                                       provider, horizon_weights):
+            episode_sum += g
+        goal_sum += episode_sum
         fits.append(episode_fitness(env))
         steps += env.steps
     return EvalResult(fits, float(np.mean(fits)), goal_sum / steps, steps)

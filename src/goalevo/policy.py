@@ -134,10 +134,9 @@ def play_episode(env: GridBattleEnv, seed: int, net, provider,
     if horizon_weights is None:
         horizon_weights = default_horizon_weights(net.n_offsets)
     horizon_weights = np.asarray(horizon_weights, dtype=float)
-    env.reset(seed)
+    m = env.reset(seed)
     done = False
     while not done:
-        m = env.measurements
         g = provider(m)
         obs = env.observe()
         if rng is not None and rng.random() < epsilon:
@@ -145,4 +144,4 @@ def play_episode(env: GridBattleEnv, seed: int, net, provider,
         else:
             action = select_action(net, obs, m, g, horizon_weights)
         yield obs, m, g, action
-        _, done = env.step(action)
+        m, done = env.step(action)

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -234,6 +235,32 @@ def test_configs_that_differ_in_any_field_never_share_a_world():
     assert worlds[0][0].tobytes() != worlds[2][0].tobytes()
     assert env_mod._initial_world(base, 5) is worlds[0]
     assert env_mod._initial_world.cache_info().hits == 1
+
+
+# SHA-256 over the snapshot and observation after each of 300 seeded random
+# actions, with a reset to the next seed when an episode ends; recorded at
+# commit 5ba561d on numpy 2.4.6. It pins the order and values of every draw.
+@pytest.mark.parametrize("preset,seed,expected", [
+    ("original", 61,
+     "7a7811a9cc505e144c4230cd607dee4e3d061030937edfd70695e535de2be83c"),
+    ("hard", 62,
+     "667627a7739395350e7d3b8e012ce9d6cd30190977fdd06d860b9662994f78bf"),
+])
+def test_dynamics_match_the_recorded_digest(preset, seed, expected):
+    env = GridBattleEnv(scenario_preset(preset))
+    actions = np.random.default_rng(seed).integers(
+        env_mod.N_ACTIONS, size=300).tolist()
+    digest = hashlib.sha256()
+    episode = 0
+    env.reset(seed)
+    for action in actions:
+        _, done = env.step(action)
+        digest.update(repr(env.state_snapshot()).encode())
+        digest.update(env.observe().tobytes())
+        if done:
+            episode += 1
+            env.reset(seed + episode)
+    assert digest.hexdigest() == expected
 
 
 # -- step mechanics --------------------------------------------------------------
@@ -540,6 +567,83 @@ def test_inactive_items_invisible():
     env.items = [Item(9, 10, env_mod.ITEM_AMMO, respawn_timer=5)]
     obs = env.observe()
     assert not obs[2 * 81:3 * 81].any()
+
+
+def _oracle_observation(env):
+    """The observation by masked indices: each window cell's grid position
+    from the heading vectors, cells off the grid read as wall, and each
+    monster and active item rotated into the window on its own."""
+    radius, side = env_mod.OBS_RADIUS, env_mod.OBS_SIDE
+    n = side * side
+    fwd = env_mod.HEADING_VECS[env.heading]
+    right = env_mod.HEADING_VECS[(env.heading + 1) % 4]
+    cells = np.arange(n)
+    ahead, across = radius - cells // side, cells % side - radius
+    rows = env.agent_row + ahead * fwd[0] + across * right[0]
+    cols = env.agent_col + ahead * fwd[1] + across * right[1]
+    inb = ((rows >= 0) & (rows < env.config.grid_height)
+           & (cols >= 0) & (cols < env.config.grid_width))
+    vec = np.zeros(4 * n + 3)
+    vec[:n] = 1.0
+    vec[:n][inb] = env.walls[rows[inb], cols[inb]]
+
+    def mark(base, row, col):
+        dr, dc = row - env.agent_row, col - env.agent_col
+        a = dr * fwd[0] + dc * fwd[1]
+        b = dr * right[0] + dc * right[1]
+        if abs(a) <= radius and abs(b) <= radius:
+            vec[base + (radius - a) * side + radius + b] = 1.0
+
+    for m in env.monsters:
+        mark(n, m.row, m.col)
+    for item in env.items:
+        if item.respawn_timer == 0:
+            mark(2 * n if item.kind == env_mod.ITEM_AMMO else 3 * n,
+                 item.row, item.col)
+    vec[4 * n:] = np.clip([env.ammo / env_mod.AMMO_SCALE,
+                           env.health / env_mod.HEALTH_SCALE,
+                           env.kills / env_mod.KILLS_SCALE], 0.0, 1.0)
+    return vec
+
+
+def _near_border(size):
+    r = env_mod.OBS_RADIUS
+    return st.one_of(st.integers(0, r), st.integers(size - 1 - r, size - 1),
+                     st.integers(0, size - 1))
+
+
+@st.composite
+def _observed_worlds(draw):
+    height, width = draw(st.integers(12, 40)), draw(st.integers(12, 40))
+    env = GridBattleEnv(make_scenario(grid_height=height, grid_width=width,
+                                      episode_length=100))
+    env.reset(draw(st.integers(0, 2**31 - 1)))
+    for action in draw(st.lists(st.integers(0, 5), max_size=40)):
+        if env.step(action)[1]:
+            break
+    for r, c in draw(st.lists(st.tuples(st.integers(0, height - 1),
+                                        st.integers(0, width - 1)),
+                              max_size=20)):
+        env.walls[r, c] = not env.walls[r, c]  # edited in place after reset
+    env.agent_row, env.agent_col = draw(_near_border(height)), \
+        draw(_near_border(width))
+    env.heading = draw(st.integers(0, 3))
+    near = st.integers(-env_mod.OBS_RADIUS - 1, env_mod.OBS_RADIUS + 1)
+    for thing in env.monsters + env.items:
+        if draw(st.booleans()):  # moved next to the agent, inside the grid
+            thing.row = min(max(env.agent_row + draw(near), 0), height - 1)
+            thing.col = min(max(env.agent_col + draw(near), 0), width - 1)
+    for item in env.items:
+        item.respawn_timer = draw(st.sampled_from((0, 0, 1, 17, -1)))
+    env.ammo, env.health, env.kills = draw(st.integers(0, 60)), \
+        draw(st.integers(0, 100)), draw(st.integers(0, 12))
+    return env
+
+
+@settings(max_examples=150, deadline=None)
+@given(_observed_worlds())
+def test_observe_matches_the_masked_index_oracle(env):
+    assert np.array_equal(env.observe(), _oracle_observation(env))
 
 
 def test_observation_deterministic():
