@@ -229,27 +229,27 @@ def cmd_evaluate(config: dict[str, str], seed: int, out: str) -> int:
 
     # paired comparisons: every provider sees the same episode seeds
     episode_seeds = [seed + 1 + i for i in range(episodes)]
-    env = GridBattleEnv(scenario)
+    envs = [GridBattleEnv(scenario) for _ in episode_seeds]
     fitness = {}  # provider label -> episode fitness values
     fitness_rows = []
     extra_outputs = []
     for label, spec, provider in providers:
-        values = fitness[label] = []
-        for i, ep_seed in enumerate(episode_seeds):
-            steps = policy.play_episode(env, ep_seed, net, provider, horizon)
-            if write_traces and i == 0:
-                # each row reads the env while the episode is paused there
-                extra_outputs.append(_write_csv(
-                    out_dir / f"trace_{label.replace('#', '_')}.csv",
-                    TRACE_HEADER,
-                    ((t, ACTION_NAMES[a], m.ammo, m.health, m.kills,
-                      env.agent_col, env.agent_row)
-                     for t, (_, m, _, a) in enumerate(steps))))
-            else:
-                for _ in steps:  # play the episode out
-                    pass
-            fit = episode_fitness(env)
-            values.append(fit)
+        steps = policy.run_episodes(envs, episode_seeds, net,
+                                    [provider] * episodes, horizon)
+        if write_traces:
+            # lane 0 leads each step's lanes while it lives; each row reads
+            # the env while the episode is paused there
+            lane0 = itertools.takewhile(lambda lanes: lanes[0][0] == 0, steps)
+            extra_outputs.append(_write_csv(
+                out_dir / f"trace_{label.replace('#', '_')}.csv",
+                TRACE_HEADER,
+                ((t, ACTION_NAMES[a], m.ammo, m.health, m.kills,
+                  envs[0].agent_col, envs[0].agent_row)
+                 for t, ((_, _, m, _, a), *_) in enumerate(lane0))))
+        for _ in steps:  # play the episodes out
+            pass
+        values = fitness[label] = [episode_fitness(env) for env in envs]
+        for i, (ep_seed, fit) in enumerate(zip(episode_seeds, values)):
             fitness_rows.append((label, spec, i, ep_seed, repr(fit)))
 
     fitness_path = _write_csv(out_dir / FITNESS_FILE,

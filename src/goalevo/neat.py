@@ -21,7 +21,7 @@ from . import goal_net
 from .configio import ConfigError, bounded, check_bounds
 from .env import GridBattleEnv, ScenarioConfig, episode_fitness
 from .goal_net import ConnGene, Genome, NodeGene, INPUT_IDS, OUTPUT_IDS
-from .policy import NetworkGoal, play_episode
+from .policy import NetworkGoal, run_episodes
 from .seeds import derive_seed
 
 
@@ -284,21 +284,21 @@ def evaluate(genome: Genome, predictor, scenario: ScenarioConfig, seed: int,
     """Run the genome's goal network over full episodes with the frozen
     predictor; episode seeds derive from (seed, episode index) so every genome
     given the same seed faces the same worlds."""
-    env = GridBattleEnv(scenario)
+    envs = [GridBattleEnv(scenario) for _ in range(episodes_per_eval)]
     provider = NetworkGoal(goal_net.decode(genome))
-    fits = []
+    # each episode's goals are summed first, then the episodes in order: the
+    # logged mean goal depends on that order, bit for bit
+    episode_sums = np.zeros((episodes_per_eval, 3))
+    for lanes in run_episodes(
+            envs, [derive_seed(seed, i) for i in range(episodes_per_eval)],
+            predictor, [provider] * episodes_per_eval, horizon_weights):
+        for i, _, _, g, _ in lanes:
+            episode_sums[i] += g
     goal_sum = np.zeros(3)
-    steps = 0
-    for i in range(episodes_per_eval):
-        # each episode's goals are summed first: the logged mean goal
-        # depends on that order, bit for bit
-        episode_sum = np.zeros(3)
-        for _, _, g, _ in play_episode(env, derive_seed(seed, i), predictor,
-                                       provider, horizon_weights):
-            episode_sum += g
+    for episode_sum in episode_sums:
         goal_sum += episode_sum
-        fits.append(episode_fitness(env))
-        steps += env.steps
+    fits = [episode_fitness(env) for env in envs]
+    steps = sum(env.steps for env in envs)
     return EvalResult(fits, float(np.mean(fits)), goal_sum / steps, steps)
 
 

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .configio import ConfigError, bounded, check_bounds
-from .env import (MEASUREMENT_SCALES, N_ACTIONS, Measurements,
-                  normalize_measurements, observation_size)
-from .policy import StaticGoal, play_episode
+from .env import (MEASUREMENT_SCALES, N_ACTIONS, normalize_measurements,
+                  observation_size)
+from .policy import StaticGoal, run_episodes
 from .seeds import derive_seed
 
 DEFAULT_OFFSETS = (1, 2, 4, 8, 16, 32)
@@ -95,21 +95,34 @@ class PredictorNet:
 
     # -- forward -------------------------------------------------------------
 
-    def forward(self, obs: np.ndarray, m: Measurements, g) -> np.ndarray:
-        """Predicted measurement deltas, shaped (action, offset, measurement)."""
-        if len(obs) != self.obs_dim:
-            raise ValueError(
-                f"observation has length {len(obs)}, expected {self.obs_dim}")
-        x = np.concatenate([obs, normalize_measurements(m), g])
-        return _layers(self, x)[-1].reshape(self.n_actions, self.n_offsets,
-                                            N_MEASUREMENTS)
+    def forward(self, obs: np.ndarray, m, g) -> np.ndarray:
+        """Predicted measurement deltas, shaped (action, offset, measurement),
+        for one observation with its Measurements and goal; or, for L lanes
+        given as (L, D) observations, L Measurements and (L, 3) goals, one
+        such block per lane, shaped (L, action, offset, measurement). The
+        layers run on an (L, 1, D) stack, one vector product per lane, so a
+        lane's block is bit for bit the one it gets alone; an (L, D) matrix
+        product may sum in another order."""
+        obs = np.asarray(obs)
+        if obs.shape[-1] != self.obs_dim:
+            raise ValueError(f"observation has length {obs.shape[-1]}, "
+                             f"expected {self.obs_dim}")
+        lanes = obs.ndim == 2
+        x = np.concatenate([
+            obs.reshape(-1, self.obs_dim),
+            [normalize_measurements(mi) for mi in (m if lanes else (m,))],
+            np.asarray(g, dtype=float).reshape(-1, N_MEASUREMENTS)], axis=1)
+        out = _layers(self, x[:, None])[-1].reshape(
+            -1, self.n_actions, self.n_offsets, N_MEASUREMENTS)
+        return out if lanes else out[0]
 
 
 def _layers(net: PredictorNet, x: np.ndarray,
             outs: list[np.ndarray] | None = None) -> list[np.ndarray]:
-    """The input of each layer, then the output, for one input vector or for
-    a (B, D) batch of rows; acting and learning share this one pass. Given
-    ``outs``, one array per layer output, the layers write into them."""
+    """The input of each layer, then the output, for a stack of input rows:
+    (L, 1, D) lanes for acting, a (B, D) batch for learning; acting and
+    learning share this one pass. Given ``outs``, one array per layer output,
+    the layers write into them."""
     acts = [x]
     for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
         if outs is None:
@@ -358,9 +371,10 @@ def collect_and_train(env_factory, config: PredictorConfig, seed: int,
         eps = epsilon_at(ep, config.epsilon_start, config.epsilon_end,
                          config.training_episodes // 2)
         observations, measurements, actions = [], [], []
-        for obs, m, _, action in play_episode(
-                env, derive_seed(seed, 2, ep), net, StaticGoal(tuple(goal)),
-                horizon_weights, epsilon=eps, rng=rng):
+        for ((_, obs, m, _, action),) in run_episodes(
+                [env], [derive_seed(seed, 2, ep)], net,
+                [StaticGoal(tuple(goal))], horizon_weights, epsilon=eps,
+                rng=rng):
             observations.append(obs.astype(np.float32))
             measurements.append((m.ammo, m.health, m.kills))
             actions.append(action)

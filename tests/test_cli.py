@@ -223,6 +223,35 @@ evaluation_episodes = 3
     assert float(comparisons[0][5]) == 1.0  # identical samples: p = 1
 
 
+def test_evaluate_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    """Acting is a vector product per lane and layer, whose sums OpenBLAS
+    orders alike at any thread count; a full-size model makes the products
+    large enough to be split over two threads."""
+    model = tmp_path / "predictor.model"
+    save_predictor(PredictorNet(observation_size(),
+                                rng=np.random.default_rng(8)), model)
+    genome = constant_genome(tmp_path)
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(TINY_SCENARIO + f"predictor_path = {model}\n"
+                   f"providers = hardcoded | evolved:{genome}\n"
+                   "evaluation_episodes = 3\nwrite_traces = true\n")
+    src = str(Path(cli.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "goalevo.cli", "evaluate", "--config",
+             str(cfg), "--seed", "4", "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src,
+                 "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({name: (out / name).read_bytes() for name in (
+            "fitness.csv", "comparisons.csv", "trace_hardcoded.csv",
+            "trace_evolved.csv")})
+    assert outputs[0] == outputs[1]
+
+
 def test_evaluate_unknown_provider_is_usage_error(tmp_path, trained_model):
     cfg = tmp_path / "eval.cfg"
     cfg.write_text(TINY_SCENARIO + f"predictor_path = {trained_model}\n"

@@ -353,7 +353,7 @@ def test_evaluate_deterministic(registry, rng):
 
 def test_evaluate_zero_goal_genome_matches_manual_rollout(registry):
     from goalevo.env import GridBattleEnv, episode_fitness
-    from goalevo.policy import NetworkGoal, play_episode
+    from goalevo.policy import NetworkGoal, run_episodes
     from goalevo.seeds import derive_seed
 
     scenario = make_scenario(episode_length=30)
@@ -365,8 +365,8 @@ def test_evaluate_zero_goal_genome_matches_manual_rollout(registry):
     provider = NetworkGoal(goal_net.decode(genome))
     env = GridBattleEnv(scenario)
     expected = []
-    for i in range(3):
-        for _ in play_episode(env, derive_seed(9, i), net, provider):
+    for i in range(3):  # one episode at a time, each the only lane
+        for _ in run_episodes([env], [derive_seed(9, i)], net, [provider]):
             pass
         expected.append(episode_fitness(env))
     assert result.fitnesses == expected

@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goalevo import goal_net
-from goalevo.env import GridBattleEnv, Measurements, episode_fitness
+from goalevo.env import (GridBattleEnv, Measurements, episode_fitness,
+                         hard_scenario, normalize_measurements,
+                         original_scenario)
 from goalevo.goal_net import ConnGene, Genome, NodeGene
+from goalevo.neat import InnovationRegistry, initial_genome
 from goalevo.policy import (HardcodedGoal, NetworkGoal, StaticGoal,
                             action_utilities, default_horizon_weights,
-                            goal_spec_label, parse_goal_spec, play_episode,
+                            goal_spec_label, parse_goal_spec, run_episodes,
                             select_action)
-from goalevo.predictor import PredictorNet
+from goalevo.predictor import LEAKY_SLOPE, PredictorNet
 
 from conftest import make_scenario
 
@@ -142,17 +145,57 @@ def test_static_goal_returns_its_constant():
     np.testing.assert_array_equal(StaticGoal()(M), [0.5, 0.5, 1.0])
 
 
-def test_network_goal_queries_net_on_normalized_measurements():
-    # single connection ammo -> ammo goal with weight 2: m.ammo=20 -> 0.5 -> 1.0
+def ramp_goal():
+    """Goal net whose ammo goal doubles the normalized ammo, clamped."""
     nodes = [NodeGene(i, 0.0, "in") for i in range(3)]
     nodes += [NodeGene(i, 0.0, "out") for i in range(3, 6)]
-    genome = Genome(nodes={n.id: n for n in nodes},
-                    conns={0: ConnGene(0, 0, 3, 2.0, True)})
-    provider = NetworkGoal(goal_net.decode(genome))
+    return goal_net.decode(Genome(nodes={n.id: n for n in nodes},
+                                  conns={0: ConnGene(0, 0, 3, 2.0, True)}))
+
+
+def test_network_goal_queries_net_on_normalized_measurements():
+    # single connection ammo -> ammo goal with weight 2: m.ammo=20 -> 0.5 -> 1.0
+    provider = NetworkGoal(ramp_goal())
     np.testing.assert_allclose(provider(Measurements(20, 100, 0)),
                                [1.0, 0.0, 0.0])
     np.testing.assert_allclose(provider(Measurements(10, 100, 0)),
                                [0.5, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("provider", [StaticGoal(), HardcodedGoal(),
+                                      NetworkGoal(ramp_goal())],
+                         ids=["static", "hardcoded", "evolved"])
+def test_a_returned_goal_cannot_be_written(provider):
+    for m in (Measurements(5, 49, 0), Measurements(20, 80, 3)):
+        g = provider(m)
+        before = g.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            g[0] = 0.25
+        with pytest.raises(ValueError, match="read-only"):
+            g += 1.0
+        assert provider(m) is g
+        np.testing.assert_array_equal(provider(m), before)
+
+
+def test_network_goal_activates_once_per_measurement_triple(monkeypatch):
+    net = ramp_goal()
+    activate = goal_net.activate
+    calls = []
+
+    def counted(ff_net, m_normalized):
+        calls.append(tuple(m_normalized))
+        return activate(ff_net, m_normalized)
+
+    monkeypatch.setattr(goal_net, "activate", counted)
+    provider = NetworkGoal(net)
+    ms = [Measurements(10, 100, 0), Measurements(30, 50, 1),
+          Measurements(10, 100, 0), Measurements(30, 50, 1)]
+    goals = [provider(m) for m in ms]
+    assert calls == [(0.25, 1.0, 0.0), (0.75, 0.5, 0.1)]
+    assert goals[2] is goals[0] and goals[3] is goals[1]
+    for m, g in zip(ms, goals):
+        np.testing.assert_array_equal(
+            g, activate(net, normalize_measurements(m)))
 
 
 def test_parse_goal_spec_variants(tmp_path):
@@ -193,11 +236,29 @@ def test_goal_spec_labels():
 # -- rollout ----------------------------------------------------------------------
 
 
-def test_play_episode_yields_every_step_of_the_episode():
+def play_alone(env, seed, net, provider, **kwargs):
+    """One episode played as the only lane: (obs, m, g, action) before each
+    step, while the env is paused there."""
+    for ((_, *step),) in run_episodes([env], [seed], net, [provider],
+                                      **kwargs):
+        yield tuple(step)
+
+
+def row_forward(net, obs, m, g):
+    """The batch-1 pass written out: one vector-matrix product per layer."""
+    x = np.concatenate([obs, normalize_measurements(m), g])
+    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+        x = x @ w.T + b
+        if layer < len(net.weights) - 1:
+            x = np.maximum(x, LEAKY_SLOPE * x)
+    return x.reshape(net.n_actions, net.n_offsets, 3)
+
+
+def test_run_episodes_yields_every_step_of_the_episode():
     scenario = make_scenario(episode_length=60)
     env = GridBattleEnv(scenario)
     net = PredictorNet(327, rng=np.random.default_rng(0))
-    steps = list(play_episode(env, 4, net, StaticGoal()))
+    steps = list(play_alone(env, 4, net, StaticGoal()))
     assert len(steps) == env.steps
     np.testing.assert_allclose(np.mean([g for _, _, g, _ in steps], axis=0),
                                [0.5, 0.5, 1.0])
@@ -210,8 +271,8 @@ def test_run_episode_explores_with_the_rng_draws_in_order():
     env = GridBattleEnv(make_scenario(episode_length=40))
     net = PredictorNet(327, rng=np.random.default_rng(2))
     rng = np.random.default_rng(5)
-    actions = [a for *_, a in play_episode(env, 3, net, StaticGoal(),
-                                           epsilon=1.0, rng=rng)]
+    actions = [a for *_, a in play_alone(env, 3, net, StaticGoal(),
+                                         epsilon=1.0, rng=rng)]
     replay = np.random.default_rng(5)
     expected = []
     for _ in range(env.steps):
@@ -224,11 +285,11 @@ def test_run_episode_explores_with_the_rng_draws_in_order():
 def test_run_episode_draws_once_per_step_at_epsilon_zero():
     scenario = make_scenario(episode_length=40)
     net = PredictorNet(327, rng=np.random.default_rng(2))
-    greedy = [a for *_, a in play_episode(GridBattleEnv(scenario), 3, net,
-                                          StaticGoal())]
+    greedy = [a for *_, a in play_alone(GridBattleEnv(scenario), 3, net,
+                                        StaticGoal())]
     rng = np.random.default_rng(6)
-    actions = [a for *_, a in play_episode(GridBattleEnv(scenario), 3, net,
-                                           StaticGoal(), epsilon=0.0, rng=rng)]
+    actions = [a for *_, a in play_alone(GridBattleEnv(scenario), 3, net,
+                                         StaticGoal(), epsilon=0.0, rng=rng)]
     assert actions == greedy
     replay = np.random.default_rng(6)
     for _ in range(len(actions)):
@@ -236,32 +297,39 @@ def test_run_episode_draws_once_per_step_at_epsilon_zero():
     assert rng.bit_generator.state == replay.bit_generator.state
 
 
-def test_play_episode_pauses_before_each_step():
+@pytest.mark.parametrize("n_lanes", [1, 3])
+def test_run_episodes_pauses_before_each_step(n_lanes):
     scenario = make_scenario(episode_length=50)
-    env = GridBattleEnv(scenario)
+    seeds = [8 + i for i in range(n_lanes)]
+    envs = [GridBattleEnv(scenario) for _ in seeds]
     net = PredictorNet(327, rng=np.random.default_rng(3))
-    start = env.reset(8)
-    first_obs = env.observe()
-    first_position = (env.agent_col, env.agent_row)
-    replay = GridBattleEnv(scenario)
-    replay.reset(8)
-    n = 0
-    for t, (obs, m, g, action) in enumerate(
-            play_episode(env, 8, net, HardcodedGoal())):
-        # while the caller holds a step, the env shows that step's state
-        assert env.steps == replay.steps == t
-        assert m == env.measurements == replay.measurements
-        np.testing.assert_array_equal(obs, env.observe())
-        np.testing.assert_array_equal(obs, replay.observe())
-        if t == 0:
-            assert m == start
-            np.testing.assert_array_equal(obs, first_obs)
-            assert (env.agent_col, env.agent_row) == first_position
-        replay.step(action)
-        n += 1
-    # afterwards the env holds the finished episode the steps played
-    assert n == env.steps
-    assert env.state_snapshot() == replay.state_snapshot()
+    starts = [env.reset(seed) for env, seed in zip(envs, seeds)]
+    first_obs = [env.observe() for env in envs]
+    first_positions = [(env.agent_col, env.agent_row) for env in envs]
+    replays = [GridBattleEnv(scenario) for _ in seeds]
+    for replay, seed in zip(replays, seeds):
+        replay.reset(seed)
+    n = [0] * n_lanes
+    for t, lanes in enumerate(run_episodes(envs, seeds, net,
+                                           [HardcodedGoal()] * n_lanes)):
+        assert [i for i, *_ in lanes] == sorted(i for i, *_ in lanes)
+        for i, obs, m, g, action in lanes:
+            env, replay = envs[i], replays[i]
+            # while the caller holds a step, each env shows that step's state
+            assert env.steps == replay.steps == t
+            assert m == env.measurements == replay.measurements
+            np.testing.assert_array_equal(obs, env.observe())
+            np.testing.assert_array_equal(obs, replay.observe())
+            if t == 0:
+                assert m == starts[i]
+                np.testing.assert_array_equal(obs, first_obs[i])
+                assert (env.agent_col, env.agent_row) == first_positions[i]
+            replay.step(action)
+            n[i] += 1
+    # afterwards each env holds the finished episode the steps played
+    for i in range(n_lanes):
+        assert n[i] == envs[i].steps
+        assert envs[i].state_snapshot() == replays[i].state_snapshot()
 
 
 def test_run_episode_deterministic():
@@ -270,7 +338,7 @@ def test_run_episode_deterministic():
     runs, final_measurements = [], []
     for _ in range(2):
         env = GridBattleEnv(scenario)
-        runs.append(list(play_episode(env, 9, net, HardcodedGoal())))
+        runs.append(list(play_alone(env, 9, net, HardcodedGoal())))
         final_measurements.append((env.measurements, env.alive, env.steps))
     a, b = runs
     assert len(a) == len(b)
@@ -279,3 +347,54 @@ def test_run_episode_deterministic():
         np.testing.assert_array_equal(g_a, g_b)
         assert (m_a, act_a) == (m_b, act_b)
     assert final_measurements[0] == final_measurements[1]
+
+
+@pytest.mark.parametrize("n_lanes", [1, 3, 8])
+@pytest.mark.parametrize("scenario", [hard_scenario(), original_scenario()],
+                         ids=["hard", "original"])
+def test_lanes_play_as_each_episode_alone(scenario, n_lanes):
+    """Each lane's steps and final state equal its episode played as the
+    only lane, bit for bit; on hard the lanes end at different steps."""
+    net = PredictorNet(327, rng=np.random.default_rng(4))
+    genome = initial_genome(np.random.default_rng(5), InnovationRegistry(), 0)
+    seeds = [100 + i for i in range(n_lanes)]
+    envs = [GridBattleEnv(scenario) for _ in seeds]
+    played = [[] for _ in seeds]
+    provider = NetworkGoal(goal_net.decode(genome))
+    for lanes in run_episodes(envs, seeds, net, [provider] * n_lanes):
+        for i, *step in lanes:
+            played[i].append(step)
+    for i, seed in enumerate(seeds):
+        env = GridBattleEnv(scenario)
+        alone = list(play_alone(env, seed, net,
+                                NetworkGoal(goal_net.decode(genome))))
+        assert len(played[i]) == len(alone) == env.steps
+        for (obs, m, g, a), (obs_1, m_1, g_1, a_1) in zip(played[i], alone):
+            assert np.array_equal(obs, obs_1) and np.array_equal(g, g_1)
+            assert (m, a) == (m_1, a_1)
+        assert envs[i].state_snapshot() == env.state_snapshot()
+    if scenario.preset_name == "hard" and n_lanes > 1:
+        assert len({len(steps) for steps in played}) > 1
+
+
+@pytest.mark.parametrize("n_lanes", [1, 3, 8, 20])
+def test_stacked_pass_equals_the_per_row_pass(n_lanes):
+    """A lane stack is scored with one vector product per lane and layer; an
+    (L, D) matrix product sums in another order and fails here."""
+    rng = np.random.default_rng(n_lanes)
+    net = PredictorNet(327, rng=rng)
+    obs = rng.random((n_lanes, 327)) * (rng.random((n_lanes, 327)) < 0.3)
+    ms = [Measurements(*rng.integers(0, 101, 3).tolist())
+          for _ in range(n_lanes)]
+    gs = rng.uniform(-1.0, 1.0, (n_lanes, 3))
+    w = np.array(default_horizon_weights(net.n_offsets))
+    preds = net.forward(obs, ms, gs)
+    assert preds.shape == (n_lanes, 6, 6, 3)
+    utilities = action_utilities(preds, gs, w)
+    for k in range(n_lanes):
+        row = row_forward(net, obs[k], ms[k], gs[k])
+        assert np.array_equal(preds[k], row)
+        assert np.array_equal(net.forward(obs[k], ms[k], gs[k]), row)
+        assert np.array_equal(utilities[k], (row @ gs[k]) @ w)
+    assert select_action(net, obs, ms, gs, w) == [
+        select_action(net, obs[k], ms[k], gs[k], w) for k in range(n_lanes)]
