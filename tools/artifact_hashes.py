@@ -15,8 +15,10 @@ where each step still draws from the training generator), an evolution
 run that removes stagnant species, an
 evaluation on ``hard`` where agents die: death-penalty fitness values, a
 provider listed twice (label ``hardcoded#2``, trace
-``trace_hardcoded_2.csv``) and rank tests with ties, and an evaluation
-with no monsters, where every fitness is 0.
+``trace_hardcoded_2.csv``) and rank tests with ties, an evaluation
+with no monsters, where every fitness is 0, and an evaluation on a small
+crowded grid where monsters start near the agent, killed monsters stay
+dead and picked-up items never return.
 """
 
 from __future__ import annotations
@@ -95,6 +97,19 @@ RUNS = (
      f"predictor_path = {PREDICTOR}\n"
      f"providers = static:0.5,0.5,1.0 | evolved:{GENOME}\n"
      "evaluation_episodes = 4\n"
+     "write_traces = true\n"),
+    # 10 monsters on a 9x9 grid: some start on cells near the agent, and
+    # without respawns a kill removes its monster and a pickup its item
+    ("evaluate_small_world", "evaluate",
+     "scenario.preset_name = original\n"
+     "scenario.grid_width = 9\n"
+     "scenario.grid_height = 9\n"
+     "scenario.n_monsters = 10\n"
+     "scenario.item_respawn_steps = 0\n"
+     "scenario.monster_respawn = false\n"
+     f"predictor_path = {PREDICTOR}\n"
+     "providers = static:0.5,0.5,1.0 | hardcoded\n"
+     "evaluation_episodes = 6\n"
      "write_traces = true\n"),
     ("sweep", "sweep", f"genome_path = {GENOME}\n"),
 )
