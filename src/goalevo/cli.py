@@ -137,21 +137,16 @@ def cmd_train_predictor(config: dict[str, str], seed: int, out: str) -> int:
         lambda: GridBattleEnv(scenario), pred_config, seed,
         horizon_weights=horizon)
 
+    configs = {"scenario": dataclasses.asdict(scenario),
+               "predictor": dataclasses.asdict(pred_config)}
     model_path = out_dir / MODEL_FILE
-    predictor.save_predictor(net, model_path, config_echo={
-        "scenario": dataclasses.asdict(scenario),
-        "predictor": dataclasses.asdict(pred_config),
-        "seed": seed,
-    })
+    predictor.save_predictor(net, model_path,
+                             config_echo={**configs, "seed": seed})
     loss_path = _write_csv(out_dir / LOSS_FILE, ("epoch", "loss", "epsilon"),
                            ((row.episode, repr(row.loss), repr(row.epsilon))
                             for row in log))
-    resolved = {
-        "scenario": dataclasses.asdict(scenario),
-        "predictor": dataclasses.asdict(pred_config),
-        "horizon_weights": horizon,
-    }
-    _write_manifest(out_dir, "train-predictor", seed, resolved, {},
+    _write_manifest(out_dir, "train-predictor", seed,
+                    {**configs, "horizon_weights": horizon}, {},
                     [model_path, loss_path])
     return 0
 
@@ -314,16 +309,13 @@ def sweep_rows(net: goal_net.FeedForwardNet, spec: SweepSpec):
     """Grid each measurement axis with the others held at their defaults and
     record the goal outputs."""
     rows = []
-    defaults = {"ammo": spec.ammo_default, "health": spec.health_default,
-                "kills": spec.kills_default}
-    for axis in ("ammo", "health", "kills"):
+    held = Measurements(spec.ammo_default, spec.health_default,
+                        spec.kills_default)
+    for axis in Measurements._fields:
         for value in spec.axis_values(axis):
-            m = dict(defaults)
-            m[axis] = value
-            meas = Measurements(m["ammo"], m["health"], m["kills"])
-            goal = goal_net.activate(net, normalize_measurements(meas))
-            rows.append((axis, m["ammo"], m["health"], m["kills"],
-                         float(goal[0]), float(goal[1]), float(goal[2])))
+            m = held._replace(**{axis: value})
+            goal = goal_net.activate(net, normalize_measurements(m))
+            rows.append((axis, *m, *goal.tolist()))
     return rows
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +67,7 @@ class EpisodeFinishedError(RuntimeError):
     """step() was called on an episode that already ended."""
 
 
-@dataclass(frozen=True)
-class Measurements:
+class Measurements(NamedTuple):
     """The (ammo, health, kills) triple that drives and evaluates the agent."""
 
     ammo: int
@@ -77,6 +77,7 @@ class Measurements:
 
 def _normalize_raw(ammo: float, health: float,
                    kills: float) -> tuple[float, float, float]:
+    """``normalize_measurements`` of one triple in Python floats, for observe."""
     a = ammo / AMMO_SCALE
     h = health / HEALTH_SCALE
     k = kills / KILLS_SCALE
@@ -85,9 +86,10 @@ def _normalize_raw(ammo: float, health: float,
             0.0 if k < 0.0 else (1.0 if k > 1.0 else k))
 
 
-def normalize_measurements(m: Measurements) -> np.ndarray:
-    """Scale measurements into [0, 1] (ammo/40, health/100, kills/10, clipped)."""
-    return np.array(_normalize_raw(m.ammo, m.health, m.kills))
+def normalize_measurements(m) -> np.ndarray:
+    """Scale measurements into [0, 1] (ammo/40, health/100, kills/10, clipped):
+    one triple, or a sequence or (N, 3) array of them, row by row."""
+    return np.clip(np.asarray(m, dtype=float) / MEASUREMENT_SCALES, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -246,16 +248,12 @@ def _initial_world(cfg: ScenarioConfig, seed: int):
     agent_row, agent_col = cells[0]
     heading = int(rng.integers(4))
     # monsters prefer cells away from the spawn so episodes don't open
-    # with an unavoidable beating; items go anywhere
+    # with an unavoidable beating (the stable sort puts far cells first);
+    # items go anywhere
     remaining = cells[1:]
-    far, near = [], []
-    for c in remaining:
-        if max(abs(c[0] - agent_row),
-               abs(c[1] - agent_col)) >= RESPAWN_MIN_DIST:
-            far.append(c)
-        else:
-            near.append(c)
-    monster_cells = (far + near)[:cfg.n_monsters]
+    monster_cells = sorted(remaining, key=lambda c: max(
+        abs(c[0] - agent_row), abs(c[1] - agent_col)) < RESPAWN_MIN_DIST)
+    monster_cells = monster_cells[:cfg.n_monsters]
     used = set(monster_cells)
     item_cells = [c for c in remaining if c not in used]
     kinds = [ITEM_AMMO] * cfg.n_ammo_packs + [ITEM_HEALTH] * cfg.n_health_kits
@@ -308,7 +306,7 @@ class GridBattleEnv:
         self._framed_width = framed.shape[1]
         self._window = [off[:, 0] * framed.shape[1] + off[:, 1]
                         for off in _WINDOW_OFFSETS]
-        self.rng = np.random.default_rng()
+        self.rng = np.random.default_rng(0)  # every reset sets its state
         self._done = True
 
     # -- lifecycle ---------------------------------------------------------
@@ -380,9 +378,6 @@ class GridBattleEnv:
         self._pickup()
         self._monsters_act()
         self.steps += 1
-        for item in self.items:
-            if item.respawn_timer > 0:
-                item.respawn_timer -= 1
         if self.health <= 0:
             self.health = 0
             self.alive = False
@@ -433,19 +428,21 @@ class GridBattleEnv:
         monster.health = self.config.monster_health
 
     def _pickup(self) -> None:
+        """Take an active item on the agent's cell; count respawn timers down."""
         cfg = self.config
         for item in self.items:
-            if not item.active or item.row != self.agent_row \
-                    or item.col != self.agent_col:
-                continue
-            if item.kind == ITEM_AMMO:
-                self.ammo += cfg.ammo_per_pack
-            else:
-                if self.health >= MAX_HEALTH:
-                    continue  # kit stays for when it is needed
-                self.health = min(MAX_HEALTH, self.health + cfg.health_per_kit)
-            item.respawn_timer = (cfg.item_respawn_steps
-                                  if cfg.item_respawn_steps > 0 else -1)
+            if (item.active and item.row == self.agent_row
+                    and item.col == self.agent_col
+                    and (item.kind == ITEM_AMMO or self.health < MAX_HEALTH)):
+                if item.kind == ITEM_AMMO:
+                    self.ammo += cfg.ammo_per_pack
+                else:  # a kit stays while health is full
+                    self.health = min(MAX_HEALTH,
+                                      self.health + cfg.health_per_kit)
+                item.respawn_timer = (cfg.item_respawn_steps
+                                      if cfg.item_respawn_steps > 0 else -1)
+            if item.respawn_timer > 0:
+                item.respawn_timer -= 1
 
     def _monsters_act(self) -> None:
         cfg = self.config

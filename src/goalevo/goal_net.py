@@ -9,6 +9,7 @@ goal outputs are valid goal-vector components by construction.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -175,17 +176,19 @@ def genome_from_text(text: str) -> Genome:
             continue
         parts = line.split()
         if parts[0] == "node" and len(parts) == 4:
-            nid = int(parts[1])
-            kind = parts[3]
+            nid, value, kind = int(parts[1]), float(parts[2]), parts[3]
             if kind not in (NODE_INPUT, NODE_HIDDEN, NODE_OUTPUT):
                 raise ValueError(f"line {lineno}: bad node type {kind!r}")
-            nodes[nid] = NodeGene(nid, float(parts[2]), kind)
+            nodes[nid] = NodeGene(nid, value, kind)
         elif parts[0] == "conn" and len(parts) == 6:
-            innov = int(parts[1])
+            innov, value = int(parts[1]), float(parts[4])
             conns[innov] = ConnGene(innov, int(parts[2]), int(parts[3]),
-                                    float(parts[4]), parts[5] == "1")
+                                    value, parts[5] == "1")
         else:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"line {lineno}: {parts[0]} value {value!r} is "
+                             "not finite")
     for nid in (*INPUT_IDS, *OUTPUT_IDS):
         kind = NODE_INPUT if nid in INPUT_IDS else NODE_OUTPUT
         if nid not in nodes or nodes[nid].kind != kind:

@@ -32,13 +32,7 @@ def default_horizon_weights(n_offsets: int) -> tuple[float, ...]:
     default offsets."""
     if n_offsets < 1:
         raise ValueError("need at least one temporal offset")
-    w = [0.0] * n_offsets
-    w[-1] = 1.0
-    if n_offsets >= 2:
-        w[-2] = 0.5
-    if n_offsets >= 3:
-        w[-3] = 0.5
-    return tuple(w)
+    return ((0.0,) * n_offsets + (0.5, 0.5, 1.0))[-n_offsets:]
 
 
 def action_utilities(predictions: np.ndarray, g, w) -> np.ndarray:

@@ -107,14 +107,13 @@ class PredictorNet:
         if obs.shape[-1] != self.obs_dim:
             raise ValueError(f"observation has length {obs.shape[-1]}, "
                              f"expected {self.obs_dim}")
-        lanes = obs.ndim == 2
         x = np.concatenate([
             obs.reshape(-1, self.obs_dim),
-            [normalize_measurements(mi) for mi in (m if lanes else (m,))],
+            normalize_measurements(m).reshape(-1, N_MEASUREMENTS),
             np.asarray(g, dtype=float).reshape(-1, N_MEASUREMENTS)], axis=1)
         out = _layers(self, x[:, None])[-1].reshape(
             -1, self.n_actions, self.n_offsets, N_MEASUREMENTS)
-        return out if lanes else out[0]
+        return out if obs.ndim == 2 else out[0]
 
 
 def _layers(net: PredictorNet, x: np.ndarray,
@@ -125,10 +124,7 @@ def _layers(net: PredictorNet, x: np.ndarray,
     the layers write into them."""
     acts = [x]
     for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
-        if outs is None:
-            z = acts[-1] @ w.T
-        else:
-            z = np.matmul(acts[-1], w.T, out=outs[layer])
+        z = np.matmul(acts[-1], w.T, out=None if outs is None else outs[layer])
         z += b
         if layer < len(net.weights) - 1:
             np.maximum(z, LEAKY_SLOPE * z, out=z)
@@ -165,7 +161,7 @@ def episode_to_samples(observations, measurements, goal, actions,
                        offsets) -> Experience:
     """Turn one finished episode into training rows.
 
-    ``measurements`` holds the raw (ammo, health, kills) arrays and has one
+    ``measurements`` holds the raw (ammo, health, kills) triples and has one
     more entry than ``observations``/``actions`` (the values after the final
     transition). Offset tau is valid at step t when t + tau is still inside
     the episode.
@@ -183,7 +179,7 @@ def episode_to_samples(observations, measurements, goal, actions,
         mask[:fit, k] = True
     return Experience(
         obs=np.asarray(observations, dtype=np.float32),
-        m_norm=np.clip(raw[:-1] / MEASUREMENT_SCALES, 0.0, 1.0),
+        m_norm=normalize_measurements(raw[:-1]),
         goal=np.tile(np.asarray(goal, dtype=float), (horizon, 1)),
         action=np.asarray(actions, dtype=int),
         targets=targets,
@@ -336,8 +332,6 @@ class EpochStats:
     episode: int
     loss: float  # mean update loss during the episode; NaN if no updates ran
     epsilon: float
-    goal: np.ndarray
-    action_counts: np.ndarray
 
 
 def epsilon_at(step: int, start: float, end: float, decay_steps: int) -> float:
@@ -376,9 +370,9 @@ def collect_and_train(env_factory, config: PredictorConfig, seed: int,
                 [StaticGoal(tuple(goal))], horizon_weights, epsilon=eps,
                 rng=rng):
             observations.append(obs.astype(np.float32))
-            measurements.append((m.ammo, m.health, m.kills))
+            measurements.append(m)
             actions.append(action)
-        measurements.append((env.ammo, env.health, env.kills))
+        measurements.append(env.measurements)
         replay.extend(episode_to_samples(observations, measurements, goal,
                                          actions, config.temporal_offsets))
         losses = []
@@ -387,7 +381,7 @@ def collect_and_train(env_factory, config: PredictorConfig, seed: int,
                 losses.append(train_step(net, replay.sample(rng,
                                                             config.batch_size)))
         stats = EpochStats(ep, float(np.mean(losses)) if losses else float("nan"),
-                           eps, goal, np.bincount(actions, minlength=N_ACTIONS))
+                           eps)
         history.append(stats)
         if progress is not None:
             progress(stats)
@@ -427,7 +421,9 @@ def save_predictor(net: PredictorNet, path: str | Path,
 
 
 def load_predictor(path: str | Path):
-    """Inverse of save_predictor; returns (net, config echo)."""
+    """Inverse of save_predictor; returns (net, config echo). A header of the
+    wrong shape or a parameter that is not finite raises ValueError naming
+    the file."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
@@ -449,6 +445,9 @@ def load_predictor(path: str | Path):
         shapes = [tuple(meta["shape"]) for meta in header["arrays"]]
     except KeyError as exc:
         raise ValueError(f"{path}: model header lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: model header holds a value of the wrong "
+                         f"type ({exc})") from None
     layers = [p.shape for pair in zip(net.weights, net.biases) for p in pair]
     if shapes != layers:
         raise ValueError(f"{path}: model arrays {shapes} do not match the "
@@ -458,13 +457,11 @@ def load_predictor(path: str | Path):
         raise ValueError(f"{path}: model payload has {len(blob)} bytes, but "
                          f"its header shapes need {8 * sum(counts)}")
     offset = 0
-    arrays = []
-    for shape, count in zip(shapes, counts):
+    for i, (shape, count) in enumerate(zip(shapes, counts)):
         arr = np.frombuffer(blob, dtype="<f8", count=count,
                             offset=offset).reshape(shape).astype(float)
-        arrays.append(arr)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: model parameters must be finite")
+        (net.weights, net.biases)[i % 2][i // 2] = arr
         offset += count * 8
-    for i in range(len(net.weights)):
-        net.weights[i] = arrays[2 * i]
-        net.biases[i] = arrays[2 * i + 1]
     return net, header.get("config", {})

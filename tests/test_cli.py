@@ -421,6 +421,8 @@ def test_sweep_missing_genome(tmp_path, capsys):
     ("", "bogus\n"),                              # a line that does not parse
     ("", "node 6 0.0 hidden\nnode 7 0.0 hidden\n"  # a cycle
          "conn 9 6 7 1.0 1\nconn 10 7 6 1.0 1\n"),
+    ("node 3 0.25 out\n", "node 3 nan out\n"),  # a bias that is not a number
+    ("", "conn 9 0 3 inf 1\n"),                  # an infinite weight
 ])
 def test_sweep_rejects_incomplete_genome(tmp_path, capsys, trained_model, old,
                                          new):
@@ -631,7 +633,9 @@ def test_evaluate_accepts_horizon_weights_of_the_offset_count(tmp_path,
                                     "binary header", "header is not JSON",
                                     "header is a JSON list",
                                     "made for another environment",
-                                    "four actions"])
+                                    "four actions", "hidden sizes a number",
+                                    "obs_dim a list", "arrays a number",
+                                    "offsets null", "last bias NaN"])
 def test_evaluate_rejects_a_damaged_model_file(tmp_path, capsys,
                                                trained_model, damage):
     """``evolve`` loads the model the same way and must reject it too."""
@@ -664,6 +668,16 @@ def damaged_model_bytes(model, damage):
     elif damage == "one array too few":  # the last bias is nowhere
         bias = fields["arrays"].pop()
         payload = payload[:-8 * bias["shape"][0]]
+    elif damage == "hidden sizes a number":
+        fields["hidden_sizes"] = 128
+    elif damage == "obs_dim a list":
+        fields["obs_dim"] = [fields["obs_dim"]]
+    elif damage == "arrays a number":
+        fields["arrays"] = 5
+    elif damage == "offsets null":
+        fields["offsets"] = None
+    elif damage == "last bias NaN":
+        payload = payload[:-8] + np.array([np.nan], dtype="<f8").tobytes()
     header = json.dumps(fields).encode()
     if damage == "binary header":  # json guesses UTF-16 and cannot decode
         header = b"\x00\xd8" + bytes(range(11, 256))

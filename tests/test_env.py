@@ -661,6 +661,37 @@ def test_normalization_scales_and_clipping():
         [1.0, 1.0, 1.0])
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-50, 250)] * 3), min_size=1,
+                max_size=8))
+def test_normalization_is_one_formula_for_records_lists_and_arrays(triples):
+    """Bit for bit: each record alone, a list of records, the (N, 3) float
+    array that ``episode_to_samples`` passes, and ``observe``'s tail."""
+    records = [Measurements(*t) for t in triples]
+    rows = normalize_measurements(records)
+    assert rows.shape == (len(records), 3)
+    assert rows.tobytes() == normalize_measurements(
+        np.asarray(records, dtype=float)).tobytes()
+    env = GridBattleEnv(original_scenario())
+    env.reset(0)
+    for record, row in zip(records, rows):
+        assert normalize_measurements(record).tobytes() == row.tobytes()
+        env.ammo, env.health, env.kills = record
+        assert env.observe()[-3:].tobytes() == row.tobytes()
+    assert ((rows >= 0.0) & (rows <= 1.0)).all()
+
+
+def test_measurements_record_repr_immutability_and_key():
+    m = Measurements(3, 55, 2)
+    assert repr(m) == "Measurements(ammo=3, health=55, kills=2)"
+    assert Measurements(*m) == m and (m.ammo, m.health, m.kills) == (3, 55, 2)
+    with pytest.raises(AttributeError):
+        m.ammo = 4
+    goals = {m: "goal"}
+    assert goals[Measurements(3, 55, 2)] == "goal"
+    assert Measurements(3, 55, 1) not in goals
+
+
 # -- fitness and interfaces -------------------------------------------------------
 
 
