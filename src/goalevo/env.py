@@ -234,7 +234,7 @@ def _initial_world(cfg: ScenarioConfig, seed: int):
     """The world ``reset(seed)`` starts from: read-only walls and free cells,
     the agent's (row, col, heading), the monster cells, the (row, col, kind)
     of each item, and the generator state after placement. Cached at module
-    level because ``neat.evaluate`` builds a new env for every genome."""
+    level because ``neat.evaluate`` plays each episode seed once per genome."""
     rng = np.random.default_rng(
         np.random.SeedSequence((cfg.wall_layout_seed, seed)))
     walls = _generate_walls(cfg.grid_width, cfg.grid_height, rng)

@@ -64,28 +64,20 @@ class InnovationRegistry:
     def __init__(self):
         self._conn_ids: dict[tuple[int, int], int] = {}
         self._split_nodes: dict[int, int] = {}
-        self._next = max(OUTPUT_IDS) + 1
-
-    def _fresh(self) -> int:
-        number = self._next
-        self._next += 1
-        return number
+        self._numbers = itertools.count(max(OUTPUT_IDS) + 1)
 
     def connection_id(self, src: int, dst: int) -> int:
-        key = (src, dst)
-        innov = self._conn_ids.get(key)
-        if innov is None:
-            innov = self._conn_ids[key] = self._fresh()
-        return innov
+        if (src, dst) not in self._conn_ids:
+            self._conn_ids[src, dst] = next(self._numbers)
+        return self._conn_ids[src, dst]
 
     def split_node_id(self, conn_innovation: int) -> int:
-        nid = self._split_nodes.get(conn_innovation)
-        if nid is None:
-            nid = self._split_nodes[conn_innovation] = self._fresh()
-        return nid
+        if conn_innovation not in self._split_nodes:
+            self._split_nodes[conn_innovation] = next(self._numbers)
+        return self._split_nodes[conn_innovation]
 
     def fresh_node_id(self) -> int:
-        return self._fresh()
+        return next(self._numbers)
 
 
 def _clip_weight(value: float, config: EvolutionConfig) -> float:
@@ -93,10 +85,9 @@ def _clip_weight(value: float, config: EvolutionConfig) -> float:
 
 
 def initial_genome(rng: np.random.Generator, registry: InnovationRegistry,
-                   key: int, config: EvolutionConfig | None = None) -> Genome:
+                   key: int, config: EvolutionConfig = EvolutionConfig()
+                   ) -> Genome:
     """Minimal genome: inputs fully connected to outputs, N(0,1) weights."""
-    if config is None:
-        config = EvolutionConfig()
     nodes = {i: NodeGene(i, 0.0, goal_net.NODE_INPUT) for i in INPUT_IDS}
     for i in OUTPUT_IDS:
         nodes[i] = NodeGene(i, _clip_weight(rng.normal(0.0, 1.0), config),
@@ -278,28 +269,30 @@ class EvalResult:
     n_steps: int
 
 
-def evaluate(genome: Genome, predictor, scenario: ScenarioConfig, seed: int,
-             episodes_per_eval: int = EvolutionConfig.episodes_per_eval,
-             horizon_weights=None) -> EvalResult:
-    """Run the genome's goal network over full episodes with the frozen
-    predictor; episode seeds derive from (seed, episode index) so every genome
-    given the same seed faces the same worlds."""
-    envs = [GridBattleEnv(scenario) for _ in range(episodes_per_eval)]
-    provider = NetworkGoal(goal_net.decode(genome))
+def evaluate(genomes: list[Genome], predictor, scenario: ScenarioConfig,
+             seed: int, episodes_per_eval: int = EvolutionConfig.episodes_per_eval,
+             horizon_weights=None) -> list[EvalResult]:
+    """Run each genome's goal network over full episodes with the frozen
+    predictor, all genomes' episodes as lanes of one rollout; episode seeds
+    derive from (seed, episode index) so every genome given the same seed
+    faces the same worlds. One result per genome, in order."""
+    n = episodes_per_eval
+    goals = [NetworkGoal(goal_net.decode(g)) for g in genomes]
+    envs = [GridBattleEnv(scenario) for _ in range(len(genomes) * n)]
     # each episode's goals are summed first, then the episodes in order: the
     # logged mean goal depends on that order, bit for bit
-    episode_sums = np.zeros((episodes_per_eval, 3))
+    episode_sums = np.zeros((len(envs), 3))
     for lanes in run_episodes(
-            envs, [derive_seed(seed, i) for i in range(episodes_per_eval)],
-            predictor, [provider] * episodes_per_eval, horizon_weights):
+            envs, [derive_seed(seed, i) for i in range(n)] * len(genomes),
+            predictor, [p for p in goals for _ in range(n)], horizon_weights):
         for i, _, _, g, _ in lanes:
             episode_sums[i] += g
-    goal_sum = np.zeros(3)
-    for episode_sum in episode_sums:
-        goal_sum += episode_sum
     fits = [episode_fitness(env) for env in envs]
-    steps = sum(env.steps for env in envs)
-    return EvalResult(fits, float(np.mean(fits)), goal_sum / steps, steps)
+    steps = [env.steps for env in envs]
+    blocks = [slice(k, k + n) for k in range(0, len(envs), n)]
+    return [EvalResult(fits[b], float(np.mean(fits[b])),
+                       sum(episode_sums[b], np.zeros(3)) / sum(steps[b]),
+                       sum(steps[b])) for b in blocks]
 
 
 # -- the generational loop ------------------------------------------------------
@@ -334,14 +327,12 @@ def _speciate(population, species_list, config, rng):
     for s in species_list:
         s.members = []
     for genome in population:
-        placed = False
         for s in species_list:
             if compatibility_distance(genome, s.representative,
                                       config) < config.compatibility_threshold:
                 s.members.append(genome)
-                placed = True
                 break
-        if not placed:
+        else:
             species_list.append(_Species(genome.copy(), members=[genome]))
     species_list[:] = [s for s in species_list if s.members]
     for s in species_list:
@@ -394,9 +385,10 @@ def evolve_against(config: EvolutionConfig, fitness_fn, seed: int,
                    eval_map=None, progress=None) -> EvolutionResult:
     """Generic generational loop over any fitness function.
 
-    ``fitness_fn(genome, gen_seed) -> EvalResult``; ``eval_map`` may override
-    how a whole population is evaluated (e.g. a process pool) but must keep
-    input order.
+    ``fitness_fn(genome, gen_seed) -> EvalResult``; ``eval_map(genomes,
+    gen_seed)`` may take its place and evaluate a whole population at once
+    (e.g. over a process pool), returning the results as consecutive blocks
+    in population order.
     """
     rng = np.random.default_rng(derive_seed(seed, 11))
     registry = InnovationRegistry()
@@ -413,7 +405,8 @@ def evolve_against(config: EvolutionConfig, fitness_fn, seed: int,
     for gen in range(config.generations):
         gen_seed = derive_seed(seed, gen, 23)
         if eval_map is not None:
-            results = eval_map(population, gen_seed)
+            results = [r for block in eval_map(population, gen_seed)
+                       for r in block]
         else:
             results = [fitness_fn(g, gen_seed) for g in population]
         n_evaluations += len(population)
@@ -463,36 +456,41 @@ def evolve_against(config: EvolutionConfig, fitness_fn, seed: int,
 
 # -- parallel evaluation over processes ----------------------------------------
 
+
+class _Block(list):
+    """One block's results: a list that takes attributes."""
+
+
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(fitness_fn):
-    _WORKER_CTX["fitness_fn"] = fitness_fn
-
-
 def _worker_eval(item):
-    return _WORKER_CTX["fitness_fn"](*item)
+    return _WORKER_CTX["evaluate_block"](*item)
 
 
 def evolve(config: EvolutionConfig, predictor, scenario: ScenarioConfig,
            seed: int, horizon_weights=None, progress=None) -> EvolutionResult:
     """Evolve goal networks against grid-battle episode fitness with the
-    predictor frozen; evaluations within a generation may run in parallel."""
-    workers = config.n_workers if config.n_workers > 0 else (os.cpu_count() or 1)
+    predictor frozen; a generation is evaluated as one contiguous block of
+    genomes per worker, its episodes played as lanes of one rollout."""
+    workers = config.n_workers or os.cpu_count() or 1
 
-    def fitness_fn(genome, gen_seed):
-        return evaluate(genome, predictor, scenario, gen_seed,
-                        config.episodes_per_eval, horizon_weights)
+    def evaluate_block(genomes, gen_seed):
+        return _Block(evaluate(genomes, predictor, scenario, gen_seed,
+                               config.episodes_per_eval, horizon_weights))
 
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return evolve_against(config, fitness_fn, seed, progress=progress)
+        return evolve_against(config, None, seed, progress=progress,
+                              eval_map=lambda *item: [evaluate_block(*item)])
 
     # forked workers inherit the closure, so it is never pickled
     with multiprocessing.get_context("fork").Pool(
-            workers, initializer=_worker_init, initargs=(fitness_fn,)) as pool:
-        def eval_map(genomes, gen_seed):
-            return pool.map(_worker_eval, [(g, gen_seed) for g in genomes],
-                            chunksize=1)
+            workers, initializer=_WORKER_CTX.update,
+            initargs=({"evaluate_block": evaluate_block},)) as pool:
+        def eval_map(genomes, gen_seed):  # sizes differ by at most one
+            ends = [len(genomes) * k // workers for k in range(workers + 1)]
+            return pool.map(_worker_eval, [(genomes[a:b], gen_seed) for a, b
+                                           in zip(ends, ends[1:])], chunksize=1)
 
-        return evolve_against(config, fitness_fn, seed, eval_map=eval_map,
+        return evolve_against(config, None, seed, eval_map=eval_map,
                               progress=progress)

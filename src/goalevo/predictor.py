@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -280,7 +281,7 @@ def gradients(net: PredictorNet, batch, work: _Workspace | None = None):
             delta = np.matmul(delta, net.weights[layer],
                               out=work.deltas[layer - 1])
             # leaky(z) > 0 exactly where z > 0, so the slope reads off acts
-            np.multiply(delta, LEAKY_SLOPE, out=delta, where=acts[layer] <= 0)
+            delta *= np.where(acts[layer] <= 0, LEAKY_SLOPE, 1.0)
     return loss, work.grads_w, work.grads_b
 
 
@@ -433,22 +434,24 @@ def load_predictor(path: str | Path):
         raise ValueError(f"{path}: model header is not JSON ({exc})") from None
     if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a predictor model file")
+    # the layer shapes first, so that a header alone allocates nothing
     try:
-        net = PredictorNet(
-            header["obs_dim"],
-            offsets=header["offsets"],
-            hidden_sizes=header["hidden_sizes"],
-            n_actions=header["n_actions"],
-            learning_rate=header["learning_rate"],
-            momentum=header["momentum"],
-        )
+        obs_dim, n_actions = int(header["obs_dim"]), int(header["n_actions"])
+        offsets = [int(o) for o in header["offsets"]]
+        hidden = [operator.index(h) for h in header["hidden_sizes"]]
+        rates = float(header["learning_rate"]), float(header["momentum"])
         shapes = [tuple(meta["shape"]) for meta in header["arrays"]]
+        sizes = [obs_dim + 2 * N_MEASUREMENTS, *hidden,
+                 n_actions * len(offsets) * N_MEASUREMENTS]
+        if min(sizes) < 0:
+            raise ValueError(f"negative layer size in {sizes}")
     except KeyError as exc:
         raise ValueError(f"{path}: model header lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: model header holds a value of the wrong "
                          f"type ({exc})") from None
-    layers = [p.shape for pair in zip(net.weights, net.biases) for p in pair]
+    layers = [shape for d_in, d_out in zip(sizes, sizes[1:])
+              for shape in ((d_out, d_in), (d_out,))]
     if shapes != layers:
         raise ValueError(f"{path}: model arrays {shapes} do not match the "
                          f"layer shapes {layers} of its header")
@@ -456,6 +459,7 @@ def load_predictor(path: str | Path):
     if len(blob) != 8 * sum(counts):
         raise ValueError(f"{path}: model payload has {len(blob)} bytes, but "
                          f"its header shapes need {8 * sum(counts)}")
+    net = PredictorNet(obs_dim, offsets, hidden, n_actions, *rates)
     offset = 0
     for i, (shape, count) in enumerate(zip(shapes, counts)):
         arr = np.frombuffer(blob, dtype="<f8", count=count,

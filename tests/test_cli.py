@@ -144,8 +144,9 @@ def test_evolve_outputs_and_determinism(tmp_path, trained_model):
 
 
 def test_evolve_artifacts_independent_of_worker_count(tmp_path, trained_model):
+    """Population 6 over 4 workers gives blocks of unequal size."""
     artifacts = []
-    for workers in (1, 2):
+    for workers in (1, 2, 4):
         cfg = tmp_path / f"evolve_{workers}.cfg"
         cfg.write_text(evolve_config(trained_model)
                        + f"evolution.n_workers = {workers}\n")
@@ -154,7 +155,7 @@ def test_evolve_artifacts_independent_of_worker_count(tmp_path, trained_model):
                          "--out", str(out)]) == 0
         artifacts.append({name: (out / name).read_bytes()
                           for name in ("best_genome.txt", "generations.csv")})
-    assert artifacts[0] == artifacts[1]
+    assert artifacts[0] == artifacts[1] == artifacts[2]
 
 
 # -- evaluate ----------------------------------------------------------------

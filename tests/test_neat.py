@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,8 +338,8 @@ def small_predictor():
 def test_evaluate_runs_requested_episode_count(registry, rng):
     scenario = make_scenario(episode_length=30)
     genome = initial_genome(rng, registry, key=0)
-    result = evaluate(genome, small_predictor(), scenario, seed=3,
-                      episodes_per_eval=8)
+    [result] = evaluate([genome], small_predictor(), scenario, seed=3,
+                        episodes_per_eval=8)
     assert len(result.fitnesses) == 8
     assert result.mean_fitness == pytest.approx(np.mean(result.fitnesses))
     assert result.n_steps > 0
@@ -345,8 +349,8 @@ def test_evaluate_deterministic(registry, rng):
     scenario = make_scenario(episode_length=30)
     genome = initial_genome(rng, registry, key=0)
     net = small_predictor()
-    r1 = evaluate(genome, net, scenario, seed=5, episodes_per_eval=4)
-    r2 = evaluate(genome, net, scenario, seed=5, episodes_per_eval=4)
+    [r1] = evaluate([genome], net, scenario, seed=5, episodes_per_eval=4)
+    [r2] = evaluate([genome], net, scenario, seed=5, episodes_per_eval=4)
     assert r1.fitnesses == r2.fitnesses
     np.testing.assert_array_equal(r1.mean_goal, r2.mean_goal)
 
@@ -361,7 +365,7 @@ def test_evaluate_zero_goal_genome_matches_manual_rollout(registry):
     nodes.update({i: NodeGene(i, 0.0, "out") for i in range(3, 6)})
     genome = Genome(nodes=nodes, conns={})
     net = small_predictor()
-    result = evaluate(genome, net, scenario, seed=9, episodes_per_eval=3)
+    [result] = evaluate([genome], net, scenario, seed=9, episodes_per_eval=3)
     provider = NetworkGoal(goal_net.decode(genome))
     env = GridBattleEnv(scenario)
     expected = []
@@ -371,6 +375,30 @@ def test_evaluate_zero_goal_genome_matches_manual_rollout(registry):
         expected.append(episode_fitness(env))
     assert result.fitnesses == expected
     np.testing.assert_array_equal(result.mean_goal, np.zeros(3))
+
+
+def test_evaluate_gives_each_genome_of_a_block_its_result_alone(registry,
+                                                              rng):
+    """A block's genomes share one rollout; on ``hard`` their lanes end at
+    different steps, and each genome still gets what it gets alone."""
+    genomes = [initial_genome(rng, registry, key=k) for k in range(4)]
+    for genome in genomes[1:]:
+        for _ in range(3):
+            _mutate_add_node(genome, rng, registry)
+    assert all(any(n.kind == "hidden" for n in g.nodes.values())
+               for g in genomes[1:])
+    net = small_predictor()
+    together = evaluate(genomes, net, hard_scenario(), seed=11,
+                        episodes_per_eval=3)
+    assert len(together) == len(genomes)
+    assert len({r.n_steps for r in together}) > 1
+    for genome, result in zip(genomes, together):
+        [alone] = evaluate([genome], net, hard_scenario(), seed=11,
+                           episodes_per_eval=3)
+        assert result.fitnesses == alone.fitnesses
+        assert result.mean_fitness == alone.mean_fitness
+        assert np.array_equal(result.mean_goal, alone.mean_goal)
+        assert result.n_steps == alone.n_steps
 
 
 def test_evaluate_rejects_a_cyclic_genome():
@@ -384,7 +412,7 @@ def test_evaluate_rejects_a_cyclic_genome():
         2: ConnGene(2, 8, 3, 1.0, True),
     })
     with pytest.raises(goal_net.GenomeCycleError):
-        evaluate(cyclic, small_predictor(), hard_scenario(), seed=0,
+        evaluate([cyclic], small_predictor(), hard_scenario(), seed=0,
                  episodes_per_eval=8)
 
 
@@ -455,3 +483,37 @@ def test_population_size_is_stable_across_generations():
     cfg = EvolutionConfig(population_size=9, generations=6)
     evolve_against(cfg, counting_fitness, seed=1)
     assert counting_fitness.count == 9 * 6
+
+
+TRACED_EVOLVE = """
+import numpy as np
+import tracer
+from goalevo import neat
+from goalevo.env import hard_scenario, observation_size
+from goalevo.predictor import PredictorNet
+
+recorder = tracer.Recorder()
+tracer.install(recorder)
+net = PredictorNet(observation_size(), offsets=(1, 2), hidden_sizes=(8,),
+                   rng=np.random.default_rng(7))
+for workers in (1, 2):
+    cfg = neat.EvolutionConfig(population_size=5, generations=2,
+                               episodes_per_eval=2, n_workers=workers)
+    neat.evolve(cfg, net, hard_scenario(), seed=3)
+    print(len(recorder.take()["durations"].get("env.step", [])))
+"""
+
+
+def test_the_benchmark_tracer_counts_the_same_steps_at_any_worker_count():
+    """``bench/tracer.py`` ships each pool result's spans back as an
+    attribute of what ``_worker_eval`` returns and pops it in ``eval_map``'s
+    results, so those must take attributes, serial blocks included. Its
+    ``install`` patches the modules for good, so it runs in a subprocess."""
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "bench")])
+    proc = subprocess.run([sys.executable, "-c", TRACED_EVOLVE],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    serial, pooled = proc.stdout.split()
+    assert int(serial) == int(pooled) > 0

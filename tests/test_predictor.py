@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -612,6 +613,24 @@ def test_save_is_byte_deterministic(tmp_path):
     save_predictor(net, p1, config_echo={"x": 1})
     save_predictor(net, p2, config_echo={"x": 1})
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_load_checks_header_shapes_before_allocating_the_net(tmp_path):
+    """A header naming a 20,000-unit layer over an 8-byte payload must fail
+    on its shapes, without building the net it describes."""
+    path = tmp_path / "huge.model"
+    save_predictor(tiny_net(obs_dim=7, offsets=(1, 2, 4), hidden=(6,)), path)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    header["hidden_sizes"] = [20000]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="huge.model"):
+            load_predictor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_load_rejects_foreign_files(tmp_path):
