@@ -131,6 +131,11 @@ def cmd_train_predictor(config: dict[str, str], seed: int, out: str) -> int:
     pred_config = apply_overrides(predictor.PredictorConfig(), config,
                                   "predictor.")
     horizon = _parse_horizon_weights(config, len(pred_config.temporal_offsets))
+    longest = pred_config.temporal_offsets[-1]  # the offsets increase
+    if longest > scenario.episode_length:  # no sample could have its target
+        raise ConfigError(
+            f"predictor.temporal_offsets reaches {longest} steps, more than "
+            f"scenario.episode_length = {scenario.episode_length}")
     out_dir = _out_dir(out, config)
 
     net, log = predictor.collect_and_train(

@@ -119,6 +119,13 @@ class ScenarioConfig:
         check_bounds(self)
         if self.n_monsters > 0 and self.monster_health < 1:
             raise ConfigError("monster_health must be >= 1 when monsters exist")
+        entities = 1 + self.n_monsters + self.n_ammo_packs + self.n_health_kits
+        interior = (self.grid_width - 2) * (self.grid_height - 2)
+        if entities > interior:  # walls can only leave fewer free cells
+            raise ConfigError(
+                f"n_monsters + n_ammo_packs + n_health_kits + 1 agent = "
+                f"{entities} entities do not fit in the {interior} interior "
+                f"cells of a {self.grid_width}x{self.grid_height} grid")
 
 
 def original_scenario() -> ScenarioConfig:
@@ -263,22 +270,14 @@ def _initial_world(cfg: ScenarioConfig, seed: int):
             tuple(monster_cells), items, rng.bit_generator.state)
 
 
-# World (row, col) offsets of the egocentric window cells, per heading. Window
-# rows run front-to-back, columns left-to-right from the agent's point of
-# view; the agent sits at the center cell.
-_cells = np.arange(OBS_SIDE * OBS_SIDE)
-_WINDOW_OFFSETS = tuple(
-    np.outer(OBS_RADIUS - _cells // OBS_SIDE, HEADING_VECS[h])
-    + np.outer(_cells % OBS_SIDE - OBS_RADIUS, HEADING_VECS[(h + 1) % 4])
-    for h in range(4))
-# Per heading, the window index of the cell (dr, dc) away from the agent, at
-# (dr + OBS_RADIUS) * OBS_SIDE + dc + OBS_RADIUS: the inverse of the window
-# order above. (A Python sort: numpy's argsort adds 0.4 MiB of peak RSS.)
-_WINDOW_INDEX = tuple(
-    [k for _, k in sorted(zip(
-        ((off[:, 0] + OBS_RADIUS) * OBS_SIDE + off[:, 1] + OBS_RADIUS).tolist(),
-        range(OBS_SIDE * OBS_SIDE)))]
-    for off in _WINDOW_OFFSETS)
+# The egocentric view is the north-up window turned by the heading:
+# ``_TURN[k](w)`` is ``np.rot90(w, k, axes=(1, 2))`` on a (channel, row, col)
+# stack, as basic-slice views that write through to ``w``. Window rows then
+# run front-to-back, columns left-to-right from the agent's point of view.
+_TURN = (lambda w: w,
+         lambda w: w[:, :, ::-1].swapaxes(1, 2),
+         lambda w: w[:, ::-1, ::-1],
+         lambda w: w[:, ::-1].swapaxes(1, 2))
 
 
 def observation_size() -> int:
@@ -299,13 +298,9 @@ class GridBattleEnv:
         # observation window lies within the framed array; ``walls`` is its
         # writable grid view, and edits to it show in both.
         r = OBS_RADIUS
-        framed = np.ones((config.grid_height + 2 * r,
-                          config.grid_width + 2 * r), dtype=bool)
-        self.walls = framed[r:-r, r:-r]
-        self._framed = framed.ravel()
-        self._framed_width = framed.shape[1]
-        self._window = [off[:, 0] * framed.shape[1] + off[:, 1]
-                        for off in _WINDOW_OFFSETS]
+        self._framed = np.ones((config.grid_height + 2 * r,
+                                config.grid_width + 2 * r), dtype=bool)
+        self.walls = self._framed[r:-r, r:-r]
         self.rng = np.random.default_rng(0)  # every reset sets its state
         self._done = True
 
@@ -489,22 +484,21 @@ class GridBattleEnv:
     def observe(self) -> np.ndarray:
         """Egocentric occupancy channels (wall, monster, ammo, health kit)
         rotated to the agent's heading, plus normalized measurements."""
-        radius, side, n = OBS_RADIUS, OBS_SIDE, OBS_SIDE * OBS_SIDE
+        side, n = OBS_SIDE, OBS_SIDE * OBS_SIDE
         vec = np.zeros(4 * n + 3)
-        centre = ((self.agent_row + radius) * self._framed_width
-                  + self.agent_col + radius)
-        vec[:n] = self._framed[self._window[self.heading] + centre]
-        where = _WINDOW_INDEX[self.heading]
-        top, left = self.agent_row - radius, self.agent_col - radius
+        # vec's channels turned back to north-up: a view that writes into vec
+        win = _TURN[-self.heading % 4](vec[:4 * n].reshape(4, side, side))
+        row, col = self.agent_row, self.agent_col  # the window's framed corner
+        win[0] = self._framed[row:row + side, col:col + side]
+        top, left = row - OBS_RADIUS, col - OBS_RADIUS  # ... in grid cells
         for m in self.monsters:
             dr, dc = m.row - top, m.col - left
             if 0 <= dr < side and 0 <= dc < side:
-                vec[n + where[dr * side + dc]] = 1.0
+                win[1, dr, dc] = 1.0
         for item in self.items:
             dr, dc = item.row - top, item.col - left
             if item.active and 0 <= dr < side and 0 <= dc < side:
-                base = 2 * n if item.kind == ITEM_AMMO else 3 * n
-                vec[base + where[dr * side + dc]] = 1.0
+                win[2 if item.kind == ITEM_AMMO else 3, dr, dc] = 1.0
         vec[4 * n:] = _normalize_raw(self.ammo, self.health, self.kills)
         return vec
 

@@ -196,6 +196,9 @@ def genome_from_text(text: str) -> Genome:
     for c in conns.values():
         if c.src not in nodes or c.dst not in nodes:
             raise ValueError(f"connection {c.innovation} names an unknown node")
+        if nodes[c.dst].kind == NODE_INPUT:
+            raise ValueError(f"connection {c.innovation} ends at input node "
+                             f"{c.dst}")
     return Genome(nodes=nodes, conns=conns)
 
 

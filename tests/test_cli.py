@@ -424,6 +424,7 @@ def test_sweep_missing_genome(tmp_path, capsys):
          "conn 9 6 7 1.0 1\nconn 10 7 6 1.0 1\n"),
     ("node 3 0.25 out\n", "node 3 nan out\n"),  # a bias that is not a number
     ("", "conn 9 0 3 inf 1\n"),                  # an infinite weight
+    ("", "node 99 0.5 hidden\nconn 9999 99 0 25.0 1\n"),  # into an input
 ])
 def test_sweep_rejects_incomplete_genome(tmp_path, capsys, trained_model, old,
                                          new):
@@ -575,6 +576,9 @@ def test_values_that_do_not_parse_name_their_key(tmp_path, capsys,
     ("evolve", "evolution.weight_min = 40", "weight_min"),
     ("evaluate", "scenario.monster_health = 0", "monster_health"),
     ("evaluate", "scenario.death_penalty = nan", "death_penalty"),
+    ("evaluate", "scenario.n_monsters = 2000", "n_monsters"),
+    ("train-predictor", "predictor.temporal_offsets = 1,41",
+     "scenario.episode_length"),
     ("train-predictor", "scenario.wall_layout_seed = -3", "wall_layout_seed"),
     ("evaluate", "horizon_weights = nan,1", "horizon_weights"),
     ("train-predictor", "--seed -1", "--seed"),

@@ -65,8 +65,15 @@ def test_unknown_preset_rejected():
 
 
 def test_config_error_when_entities_exceed_free_cells():
-    cfg = make_scenario(grid_width=6, grid_height=6, n_monsters=40)
     with pytest.raises(ConfigError):
+        make_scenario(grid_width=6, grid_height=6, n_monsters=40)
+
+
+def test_reset_error_when_walls_leave_too_few_free_cells():
+    # 49 entities fill the 7x7 interior of a 9x9 grid, which the config
+    # allows; its one wall segment always starts inside the interior
+    cfg = make_scenario(grid_width=9, grid_height=9, n_monsters=34)
+    with pytest.raises(ConfigError, match="free cells"):
         GridBattleEnv(cfg).reset(0)
 
 
@@ -644,6 +651,14 @@ def _observed_worlds(draw):
 @given(_observed_worlds())
 def test_observe_matches_the_masked_index_oracle(env):
     assert np.array_equal(env.observe(), _oracle_observation(env))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_turn_is_rot90_as_a_view(k):
+    w = np.arange(2 * 9 * 9).reshape(2, 9, 9)  # no rotation maps it to itself
+    turned = env_mod._TURN[k](w)
+    assert np.array_equal(turned, np.rot90(w, k, axes=(1, 2)))
+    assert np.shares_memory(turned, w)
 
 
 def test_observation_deterministic():
