@@ -25,8 +25,8 @@ from . import __version__, goal_net, neat, policy, predictor, stats
 from .configio import (ConfigError, apply_overrides, bounded, check_bounds,
                        coerce_value, parse_kv_file)
 from .env import (ACTION_NAMES, N_ACTIONS, GridBattleEnv, Measurements,
-                  episode_fitness, normalize_measurements, observation_size,
-                  scenario_from_overrides)
+                  _initial_world, episode_fitness, normalize_measurements,
+                  observation_size, scenario_from_overrides)
 
 DEFAULT_EVALUATION_EPISODES = 20
 
@@ -225,10 +225,12 @@ def cmd_evaluate(config: dict[str, str], seed: int, out: str) -> int:
     model_path, net = _load_model(config)
     horizon = _parse_horizon_weights(config, net.n_offsets)
     providers = _parse_providers(config)
-    out_dir = _out_dir(out, config)
-
     # paired comparisons: every provider sees the same episode seeds
     episode_seeds = [seed + 1 + i for i in range(episodes)]
+    for ep_seed in episode_seeds:  # a layout with too few free cells fails
+        _initial_world(scenario, ep_seed)  # here; the episodes reuse them
+    out_dir = _out_dir(out, config)
+
     envs = [GridBattleEnv(scenario) for _ in episode_seeds]
     fitness = {}  # provider label -> episode fitness values
     fitness_rows = []

@@ -316,6 +316,10 @@ class GridBattleEnv:
                          for r, c in monster_cells]
         self.items = [Item(r, c, kind) for r, c, kind in items]
         self.rng.bit_generator.state = rng_state
+        # The generator's held 32-bit half, kept here between syncs
+        # because ``_draw_moves`` draws raw words (see there).
+        self._has_half = rng_state["has_uint32"]
+        self._half = rng_state["uinteger"]
 
         self.ammo = cfg.initial_ammo
         self.health = cfg.initial_health
@@ -332,6 +336,7 @@ class GridBattleEnv:
     def state_snapshot(self) -> dict:
         """Full comparable state, including the generator state; two envs with
         equal snapshots are bit-identical."""
+        self._sync_rng()
         return {
             "agent": (self.agent_row, self.agent_col, self.heading),
             "monsters": tuple((m.row, m.col, m.health) for m in self.monsters),
@@ -412,21 +417,29 @@ class GridBattleEnv:
         candidates = free[cheb >= RESPAWN_MIN_DIST]
         if len(candidates) == 0:
             candidates = free[cheb >= 1]
+        self._sync_rng()
+        monster.health = self.config.monster_health
         for _ in range(50):
             r, c = candidates[int(self.rng.integers(len(candidates)))]
             r, c = int(r), int(c)
             if self._monster_at(r, c) is None:
                 monster.row, monster.col = r, c
-                monster.health = self.config.monster_health
-                return
-        # dense board fallback: park the monster where it died
-        monster.health = self.config.monster_health
+                break
+        # else, on a dense board, the monster is parked where it died
+        state = self.rng.bit_generator.state
+        self._has_half, self._half = state["has_uint32"], state["uinteger"]
+
+    def _sync_rng(self) -> None:
+        """Write the held half into the generator, for numpy's own draws."""
+        state = self.rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = self._has_half, self._half
+        self.rng.bit_generator.state = state
 
     def _pickup(self) -> None:
         """Take an active item on the agent's cell; count respawn timers down."""
         cfg = self.config
         for item in self.items:
-            if (item.active and item.row == self.agent_row
+            if (item.respawn_timer == 0 and item.row == self.agent_row
                     and item.col == self.agent_col
                     and (item.kind == ITEM_AMMO or self.health < MAX_HEALTH)):
                 if item.kind == ITEM_AMMO:
@@ -439,17 +452,34 @@ class GridBattleEnv:
             if item.respawn_timer > 0:
                 item.respawn_timer -= 1
 
+    def _draw_moves(self, n: int) -> tuple[list[float], list[int]]:
+        """``rng.random(n)`` then ``rng.integers(0, 4, size=n)`` as lists,
+        read from one ``random_raw`` call by numpy's own rules for PCG64.
+
+        A double is a word's top 53 bits over 2**53. A direction is the top
+        two bits of a 32-bit half: the held half first, then each further
+        word's low half and then its high half. The last word's high half is
+        kept as the new held half, marked as held if it went unused.
+        """
+        k = (n - self._has_half + 1) // 2  # words for the directions
+        words = self.rng.bit_generator.random_raw(n + k).tolist()
+        dirs = [self._half >> 30] if self._has_half else []
+        for w in words[n:]:
+            dirs += ((w >> 30) & 3, w >> 62)
+        if k:
+            self._half = words[-1] >> 32
+        self._has_half = len(dirs) - n
+        return [(w >> 11) * 2.0**-53 for w in words[:n]], dirs[:n]
+
     def _monsters_act(self) -> None:
         cfg = self.config
         ar, ac = self.agent_row, self.agent_col
-        n = len(self.monsters)
-        advance = self.rng.random(n).tolist()
-        rand_dirs = self.rng.integers(0, 4, size=n, dtype=np.int64).tolist()
-        for i, m in enumerate(self.monsters):
+        advance, dirs = self._draw_moves(len(self.monsters))
+        for m, adv, d in zip(self.monsters, advance, dirs):
             dr = ar - m.row
             dc = ac - m.col
             aggro = max(abs(dr), abs(dc)) <= MONSTER_AGGRO_RADIUS
-            if aggro and advance[i] < MONSTER_ADVANCE_PROB:
+            if aggro and adv < MONSTER_ADVANCE_PROB:
                 # purposeful act: bite when adjacent, otherwise close in
                 if abs(dr) + abs(dc) == 1:
                     self.health = max(0, self.health - cfg.monster_damage)
@@ -460,24 +490,15 @@ class GridBattleEnv:
                     tries = ((sr, 0), (0, sc))
                 else:
                     tries = ((0, sc), (sr, 0))
-                for tr, tc in tries:
-                    if tr == 0 and tc == 0:
-                        continue
-                    if self._monster_move(m, m.row + tr, m.col + tc):
-                        break
             else:
-                tr, tc = HEADING_VECS[rand_dirs[i]]
-                self._monster_move(m, m.row + tr, m.col + tc)
-
-    def _monster_move(self, m: Monster, row: int, col: int) -> bool:
-        if self.walls[row, col]:
-            return False
-        if row == self.agent_row and col == self.agent_col:
-            return False
-        if self._monster_at(row, col) is not None:
-            return False
-        m.row, m.col = row, col
-        return True
+                tries = (HEADING_VECS[d],)
+            for tr, tc in tries:
+                row, col = m.row + tr, m.col + tc
+                if ((tr or tc) and not self.walls[row, col]
+                        and (row != ar or col != ac)
+                        and self._monster_at(row, col) is None):
+                    m.row, m.col = row, col
+                    break
 
     # -- observation -------------------------------------------------------
 

@@ -602,6 +602,18 @@ def test_out_of_range_values_name_their_key(tmp_path, capsys, trained_model,
     assert key in error
 
 
+def test_evaluate_checks_every_episode_world_before_work(tmp_path, capsys,
+                                                         trained_model):
+    # 49 entities fit the 7x7 interior, but every seeded wall layout of a
+    # 9x9 grid takes some of its cells
+    error = fails_before_work(
+        tmp_path, capsys, "evaluate",
+        "scenario.grid_width = 9\nscenario.grid_height = 9\n"
+        "scenario.n_monsters = 34\n"
+        f"predictor_path = {trained_model}\nproviders = hardcoded\n")
+    assert "free cells" in error
+
+
 @pytest.mark.parametrize("config_class", [PredictorConfig, EvolutionConfig,
                                           ScenarioConfig, cli.SweepSpec])
 def test_every_numeric_config_field_must_be_finite(config_class):

@@ -244,19 +244,37 @@ def test_configs_that_differ_in_any_field_never_share_a_world():
     assert env_mod._initial_world.cache_info().hits == 1
 
 
+def _crowded_battle():
+    """A 9x9 grid crowded with respawning monsters and an agent with ammo
+    to spare, so kills put respawn draws between the monsters' moves."""
+    return make_scenario(grid_width=9, grid_height=9, n_monsters=12,
+                         n_ammo_packs=3, n_health_kits=3, initial_ammo=40,
+                         monster_damage=1, item_respawn_steps=10,
+                         episode_length=150, preset_name="custom")
+
+
 # SHA-256 over the snapshot and observation after each of 300 seeded random
-# actions, with a reset to the next seed when an episode ends; recorded at
-# commit 5ba561d on numpy 2.4.6. It pins the order and values of every draw.
+# actions, with a reset to the next seed when an episode ends; recorded on
+# numpy 2.4.6, the presets at commit 5ba561d and the crowded battle (mostly
+# attacks: 84 respawns, 44 of them while the generator held a 32-bit half)
+# at commit 7efc842. It pins the order and values of every draw.
 @pytest.mark.parametrize("preset,seed,expected", [
     ("original", 61,
      "7a7811a9cc505e144c4230cd607dee4e3d061030937edfd70695e535de2be83c"),
     ("hard", 62,
      "667627a7739395350e7d3b8e012ce9d6cd30190977fdd06d860b9662994f78bf"),
+    ("crowded", 63,
+     "61b751a595239359f647330335d74efd74199749eb59b7009768980a496485af"),
 ])
 def test_dynamics_match_the_recorded_digest(preset, seed, expected):
-    env = GridBattleEnv(scenario_preset(preset))
-    actions = np.random.default_rng(seed).integers(
-        env_mod.N_ACTIONS, size=300).tolist()
+    rng = np.random.default_rng(seed)
+    if preset == "crowded":
+        env = GridBattleEnv(_crowded_battle())
+        actions = rng.choice(env_mod.N_ACTIONS, size=300,
+                             p=[0.1, 0.15, 0.15, 0.05, 0.55, 0.0]).tolist()
+    else:
+        env = GridBattleEnv(scenario_preset(preset))
+        actions = rng.integers(env_mod.N_ACTIONS, size=300).tolist()
     digest = hashlib.sha256()
     episode = 0
     env.reset(seed)
@@ -501,6 +519,44 @@ def test_no_ammo_episode_never_gains_ammo():
     while not done:
         m, done = env.step(int(rng.integers(6)))
         assert m.ammo == 0
+
+
+# numpy's PCG64 keeps the unused high half of a word for the next 32-bit
+# draw. ``integers`` draws 1 (held), 2 (used, but still in ``uinteger``) or
+# 0 (fresh) such halves before the first step.
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**63 - 1), st.integers(0, 2),
+       st.lists(st.tuples(st.integers(0, 12), st.booleans()), min_size=1,
+                max_size=8))
+def test_monster_draws_follow_numpys_rules(seed, halves_before, steps):
+    """``_draw_moves(n)`` gives what ``random(n)`` then ``integers(0, 4,
+    size=n)`` give and leaves the same generator state, with respawn draws
+    between the steps; a numpy release that changes the rules fails here."""
+    reference = np.random.default_rng(seed)
+    reference.integers(0, 4, size=halves_before)
+    env = GridBattleEnv(empty_room(size=31))
+    env.reset(0)
+    clear_interior_walls(env)
+    place_agent(env, 15, 15, heading=0)
+    monster = Monster(15, 16, health=1)  # never a candidate for its respawn
+    env.monsters = [monster]
+    state = reference.bit_generator.state
+    env.rng.bit_generator.state = state
+    env._has_half, env._half = state["has_uint32"], state["uinteger"]
+    free = env._free_cells
+    candidates = free[np.maximum(abs(free[:, 0] - 15), abs(free[:, 1] - 15))
+                      >= env_mod.RESPAWN_MIN_DIST].tolist()
+    for n, respawn in steps:
+        expected = (reference.random(n).tolist(),
+                    reference.integers(0, 4, size=n, dtype=np.int64).tolist())
+        assert env._draw_moves(n) == expected
+        assert env.state_snapshot()["rng_state"] == \
+            repr(reference.bit_generator.state)
+        if respawn:
+            monster.row, monster.col = 15, 16
+            env._respawn_monster(monster)
+            cell = candidates[int(reference.integers(len(candidates)))]
+            assert [monster.row, monster.col] == cell
 
 
 # -- observation -----------------------------------------------------------------
