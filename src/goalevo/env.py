@@ -474,12 +474,14 @@ class GridBattleEnv:
     def _monsters_act(self) -> None:
         cfg = self.config
         ar, ac = self.agent_row, self.agent_col
-        advance, dirs = self._draw_moves(len(self.monsters))
-        for m, adv, d in zip(self.monsters, advance, dirs):
+        walls, monsters = self.walls, self.monsters
+        near = MONSTER_AGGRO_RADIUS
+        advance, dirs = self._draw_moves(len(monsters))
+        for m, adv, d in zip(monsters, advance, dirs):
             dr = ar - m.row
             dc = ac - m.col
-            aggro = max(abs(dr), abs(dc)) <= MONSTER_AGGRO_RADIUS
-            if aggro and adv < MONSTER_ADVANCE_PROB:
+            if (adv < MONSTER_ADVANCE_PROB and -near <= dr <= near
+                    and -near <= dc <= near):
                 # purposeful act: bite when adjacent, otherwise close in
                 if abs(dr) + abs(dc) == 1:
                     self.health = max(0, self.health - cfg.monster_damage)
@@ -494,9 +496,13 @@ class GridBattleEnv:
                 tries = (HEADING_VECS[d],)
             for tr, tc in tries:
                 row, col = m.row + tr, m.col + tc
-                if ((tr or tc) and not self.walls[row, col]
-                        and (row != ar or col != ac)
-                        and self._monster_at(row, col) is None):
+                if (not (tr or tc) or walls[row, col]
+                        or (row == ar and col == ac)):
+                    continue
+                for other in monsters:  # ``_monster_at``, inlined
+                    if other.row == row and other.col == col:
+                        break
+                else:
                     m.row, m.col = row, col
                     break
 
