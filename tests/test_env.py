@@ -522,8 +522,8 @@ def test_no_ammo_episode_never_gains_ammo():
 
 
 # numpy's PCG64 keeps the unused high half of a word for the next 32-bit
-# draw. ``integers`` draws 1 (held), 2 (used, but still in ``uinteger``) or
-# 0 (fresh) such halves before the first step.
+# draw. The ``halves_before`` draws leave the generator fresh (0), holding
+# a half (1), or with a used half still in ``uinteger`` (2).
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**63 - 1), st.integers(0, 2),
        st.lists(st.tuples(st.integers(0, 12), st.booleans()), min_size=1,
